@@ -105,8 +105,7 @@ def cmd_ratio(config: RunConfig, out_path: str) -> list[str]:
 def cmd_waterfill(config: RunConfig, out_path: str) -> tuple[str, str]:
     """Optimal transmit spectral density at the configured power budget."""
     grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
-    sol = solve_for_power(config.channel, config.receiver, grid,
-                          config.power_w, config.tolerance)
+    sol = solve_for_power(config.channel, config.receiver, grid, config.power_w)
     _write_csv(out_path, ["omega_rad_s", "s_it_A2_per_Hz", "in_support"],
                [grid.nodes, sol.s_it, sol.support_mask.astype(float)])
     summary = {
@@ -123,17 +122,7 @@ def cmd_waterfill(config: RunConfig, out_path: str) -> tuple[str, str]:
 def cmd_sweep(config: RunConfig, out_path: str) -> str:
     """Capacity-vs-power cross-plot, terminated at the full-support point."""
     grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
-    if config.mu_list:
-        mu_list = list(config.mu_list)
-    else:
-        # default: 50 logarithmic multipliers spanning empty to full support
-        from .waterfill import _profile  # noqa: PLC2701 - internal reuse
-
-        prof = _profile(config.channel, config.receiver, grid)
-        mu_hi = float(np.max(prof.r[prof.valid])) * (1 - 1e-9)
-        mu_lo = float(np.min(prof.r[prof.valid]))
-        mu_list = list(np.geomspace(mu_hi, mu_lo, 50))
-    result = sweep(config.channel, config.receiver, grid, mu_list)
+    result = sweep(config.channel, config.receiver, grid, config.mu_list or None)
     mu_full = result.termination.mu
     rows = [p for p in result.points if p.mu > mu_full]
     rows.append(result.termination)
@@ -155,10 +144,10 @@ def cmd_table1(out_path: str, base_points: int = 512, refine_levels: int = 6) ->
     band = config.band
     p_t = config.power_w
     b = band.bandwidth
+    grid = build_grid(band, grid_model, base_points, refine_levels)
     rls, lowers, ses, uppers = [], [], [], []
     for rl in config.load_resistances:
         rx = _with_rl(config.receiver, rl)
-        grid = build_grid(band, grid_model, base_points, refine_levels)
         lower = capacity_lower_bound(grid_model, rx, band, p_t, grid) / b
         upper = capacity_upper_bound(rx, band, p_t) / b
         se = solve_for_power(grid_model, rx, grid, p_t).capacity / b

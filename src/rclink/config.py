@@ -39,7 +39,6 @@ DEFAULT_CONFIG = {
         "load_resistances_ohm": [5.0e4, 5.0e5, 5.0e6],
         "power_w": 2.68e-14,
         "mu_list": [],
-        "tolerance": 1e-6,
     },
 }
 
@@ -68,7 +67,6 @@ class RunConfig:
     load_resistances: tuple[float, ...] = (5.0e4, 5.0e5, 5.0e6)
     power_w: float = 2.68e-14
     mu_list: tuple[float, ...] = ()
-    tolerance: float = 1e-6
 
 
 def _take(section: dict, where: str, keys: dict):
@@ -144,7 +142,7 @@ def parse_config(doc: dict) -> RunConfig:
     band = _parse_band(top["band"])
     gv = _take(top.get("grid", {}), "grid", {"base_points": False, "refine_levels": False})
     av = _take(top.get("analysis", {}), "analysis", {
-        "load_resistances_ohm": False, "power_w": False, "mu_list": False, "tolerance": False,
+        "load_resistances_ohm": False, "power_w": False, "mu_list": False,
     })
     return RunConfig(
         channel=channel,
@@ -155,7 +153,6 @@ def parse_config(doc: dict) -> RunConfig:
         load_resistances=tuple(av.get("load_resistances_ohm", (5.0e4, 5.0e5, 5.0e6))),
         power_w=float(av.get("power_w", 2.68e-14)),
         mu_list=tuple(av.get("mu_list", ())),
-        tolerance=float(av.get("tolerance", 1e-6)),
     )
 
 
@@ -198,7 +195,6 @@ def serialize_config(config: RunConfig) -> dict:
             "load_resistances_ohm": list(config.load_resistances),
             "power_w": config.power_w,
             "mu_list": list(config.mu_list),
-            "tolerance": config.tolerance,
         },
     }
 

@@ -2,8 +2,11 @@
 
 The capacity problem separates per frequency; the optimal transmit-current
 spectral density is 1/(mu*beta) - 1/alpha wherever positive, with the
-Lagrange multiplier mu set by the power budget.  Poles of the channel are
-local minima of alpha/beta, so the optimal allocation avoids resonances.
+Lagrange multiplier mu set by the power budget.  The budget is inverted to
+mu exactly, with no tolerance: sorting the nodes by alpha/beta makes the
+power of every candidate support a closed form in running sums.  Poles of
+the channel are local minima of alpha/beta, so the optimal allocation
+avoids resonances.
 """
 
 from __future__ import annotations
@@ -82,30 +85,31 @@ def build_grid(
         raise ValueError("refine_levels must be nonnegative")
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
-    pieces = [np.linspace(lo, hi, base_points)]
     poles = poles_in_interval(model, lo, hi)
-    for p in poles:
-        window = 10 * h
-        spacing = h
-        for _ in range(refine_levels):
-            spacing /= 2
-            extra = p + spacing * np.arange(-round(window / spacing), round(window / spacing) + 1)
-            pieces.append(extra[(extra >= lo) & (extra <= hi)])
-            window /= 2
-    nodes = np.unique(np.concatenate(pieces))
+    # the offsets of every refinement level, shared by all poles (the empty
+    # first piece keeps refine_levels=0 valid)
+    offsets = [np.empty(0)]
+    window = 10 * h
+    spacing = h
+    for _ in range(refine_levels):
+        spacing /= 2
+        n = round(window / spacing)
+        offsets.append(spacing * np.arange(-n, n + 1))
+        window /= 2
+    extra = (poles[:, None] + np.concatenate(offsets)).ravel()
+    extra = extra[(extra >= lo) & (extra <= hi)]
+    nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
     # drop near-duplicates that would produce tiny weights, then snap the
-    # nearest surviving node onto each pole exactly
+    # nearest surviving node onto each pole exactly (the lower one on a tie)
     keep = np.ones(len(nodes), dtype=bool)
     tol = h * 1e-9
     keep[1:] = np.diff(nodes) > tol
     nodes = nodes[keep]
-    pole_idx = []
-    for p in poles:
-        i = int(np.argmin(np.abs(nodes - p)))
-        nodes[i] = p
-        pole_idx.append(i)
+    right = np.clip(np.searchsorted(nodes, poles), 1, len(nodes) - 1)
+    pole_idx = right - (poles - nodes[right - 1] <= nodes[right] - poles)
+    nodes[pole_idx] = poles
     weights = _trapezoid_weights(nodes)
-    return FrequencyGrid(band, nodes, weights, np.array(sorted(pole_idx), dtype=int))
+    return FrequencyGrid(band, nodes, weights, pole_idx)
 
 
 @dataclass(frozen=True)
@@ -151,53 +155,71 @@ def solve_for_power(
     rx: ReceiverParams,
     grid: FrequencyGrid,
     p_t: float,
-    tol: float = 1e-6,
 ) -> WaterfillSolution:
-    """Invert the power budget to mu by bisection; power(mu) is decreasing."""
+    """Invert the power budget to mu exactly, by sorting the nodes on alpha/beta.
+
+    With the valid nodes in descending order of r = alpha/beta, powering the
+    top k of them at budget p_t takes the level mu_k = W_k / (p_t + V_k),
+    where W_k and V_k are the running sums of w and w/r (w the quadrature
+    weight over 2 pi).  The optimum powers the top k for the first k whose
+    level excludes node k+1, or the whole band if none does.
+    """
     if p_t <= 0:
         raise ValueError("p_t must be positive")
     prof = _profile(model, rx, grid)
-    if not np.any(prof.valid):
+    n_valid = int(np.count_nonzero(prof.valid))
+    if n_valid == 0:
         raise ValueError("channel has no coupling anywhere in the band")
-    mu_hi = float(np.max(prof.r[prof.valid]))  # empty support, zero power
-    mu_lo = mu_hi
-    for _ in range(200):
-        if _solve(prof, grid, mu_lo).power >= p_t:
-            break
-        mu_lo /= 2
-    else:
-        raise RuntimeError("failed to bracket the power budget")
-    sol = None
-    for _ in range(200):
-        mu = math.sqrt(mu_lo * mu_hi)
-        sol = _solve(prof, grid, mu)
-        if abs(sol.power - p_t) <= tol * p_t:
-            return sol
-        if sol.power > p_t:
-            mu_lo = mu
-        else:
-            mu_hi = mu
-    return sol
+    # built in place: the profile already holds several arrays of grid size
+    order = np.argsort(np.where(prof.valid, prof.r, -np.inf))[::-1][:n_valid]
+    r = prof.r[order]
+    w = grid.weights[order]
+    del order
+    w /= 2 * math.pi
+    levels = np.cumsum(w)
+    np.divide(w, r, out=w)
+    np.cumsum(w, out=w)
+    w += p_t
+    np.divide(levels, w, out=levels)
+    del w
+    exceeded = levels[:-1] >= r[1:]
+    k = int(np.argmax(exceeded)) if exceeded.any() else n_valid - 1
+    r_k = float(r[k])
+    del levels, r, exceeded
+    # the running sums fix the support; its level comes from plain sums over
+    # it, which do not accumulate roundoff along the sorted order
+    support = prof.valid & (prof.r >= r_k)
+    w = grid.weights[support] / (2 * math.pi)
+    mu = float(np.sum(w)) / (p_t + float(np.sum(w / prof.r[support])))
+    del support, w
+    # mu < r_k holds exactly; keep roundoff from emptying the support
+    mu = min(mu, float(np.nextafter(r_k, 0)))
+    return _solve(prof, grid, mu)
 
 
 def sweep(
     model: ChannelModel,
     rx: ReceiverParams,
     grid: FrequencyGrid,
-    mu_list,
+    mu_list=None,
 ) -> SweepResult:
     """One solution per mu (descending), plus the full-support endpoint.
 
-    The termination point is the largest multiplier that powers the whole
-    band: the minimum of alpha/beta over the grid, backed off by a relative
+    Without `mu_list`, 50 logarithmically spaced multipliers run from just
+    below the maximum of alpha/beta (empty support) to its minimum.  The
+    termination point is the largest multiplier that powers the whole band:
+    the minimum of alpha/beta over the grid, backed off by a relative
     epsilon so the strict support inequality includes the minimizing node.
     """
+    prof = _profile(model, rx, grid)
+    r_valid = prof.r[prof.valid]
+    if mu_list is None:
+        mu_list = np.geomspace(float(np.max(r_valid)) * (1 - 1e-9), float(np.min(r_valid)), 50)
     mu_list = list(mu_list)
     if any(m <= 0 for m in mu_list):
         raise ValueError("multipliers must be positive")
     if any(b >= a for a, b in zip(mu_list, mu_list[1:])):
         raise ValueError("mu_list must be sorted descending")
-    prof = _profile(model, rx, grid)
     points = [_solve(prof, grid, mu) for mu in mu_list]
-    mu_full = float(np.min(prof.r[prof.valid])) * (1 - 1e-12)
+    mu_full = float(np.min(r_valid)) * (1 - 1e-12)
     return SweepResult(points, _solve(prof, grid, mu_full))

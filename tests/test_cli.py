@@ -50,6 +50,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="load_resistence_ohm"):
             parse_config(doc)
 
+    def test_tolerance_key_rejected(self):
+        # the power budget is met exactly, so the solver takes no tolerance
+        doc = serialize_config(default_config())
+        doc["analysis"]["tolerance"] = 1e-6
+        with pytest.raises(ConfigError, match="tolerance"):
+            parse_config(doc)
+
     def test_missing_key_rejected(self):
         doc = serialize_config(default_config())
         del doc["receiver"]["amp_gain"]

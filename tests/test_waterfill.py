@@ -1,21 +1,27 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclink import (
     Band,
+    TLineShortedTapped,
     alpha,
     beta,
     build_grid,
     capacity_lower_bound,
     capacity_upper_bound,
+    eval_reactances,
     poles_in_interval,
     ratio_alpha_beta,
     solve_for_mu,
     solve_for_power,
     sweep,
 )
+from rclink.config import DEFAULT_TLINE_CHANNEL
 
 from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
 from oracles import riemann_capacity_power
@@ -53,6 +59,33 @@ class TestBuildGrid:
         assert np.all(np.diff(lc_grid.nodes) > 0)
         assert np.sum(lc_grid.weights) == pytest.approx(2 * math.pi * lc_band.bandwidth, rel=1e-12)
         assert lc_grid.nodes[0] >= lc_band.lo and lc_grid.nodes[-1] <= lc_band.hi
+
+    @pytest.mark.parametrize("case, count, digest, pole_nodes", [
+        ("lc", 633, "96211c93ebba5e85", [316]),
+        ("tline5", 1197, "a02f38769d0c00b8", [122, 365, 598, 831, 1074]),
+        ("tline501", 74599, "332b68e9a3fbae3c", None),
+    ], ids=["lc", "tline5", "tline501"])
+    def test_nodes_pinned(self, lc_band, tline_band, case, count, digest, pole_nodes):
+        # sha256 prefixes of nodes.tobytes(): the grid must stay bit-identical
+        # to the one these reference capacities were computed on
+        if case == "lc":
+            model, band, base_points = LC_MODEL, lc_band, 512
+        elif case == "tline5":
+            d = DEFAULT_TLINE_CHANNEL
+            model = TLineShortedTapped(d["char_impedance_ohm"], d["wave_speed_m_s"],
+                                       d["length_m"], d["x_transmit_m"], d["x_receive_m"])
+            band, base_points = tline_band, 512
+        else:
+            length = 501 * 3.0e8 / (2 * tline_band.bandwidth)
+            model = TLineShortedTapped(50.0, 3.0e8, length, 0.31 * length, 0.62 * length)
+            band, base_points = tline_band, 8 * 501
+        grid = build_grid(band, model, base_points, 6)
+        assert len(grid.nodes) == count
+        assert hashlib.sha256(grid.nodes.tobytes()).hexdigest()[:16] == digest
+        if pole_nodes is None:
+            assert len(grid.pole_nodes) == 501
+        else:
+            assert grid.pole_nodes.tolist() == pole_nodes
 
     def test_base_points_floor(self, lc_band):
         with pytest.raises(ValueError):
@@ -110,9 +143,13 @@ class TestSolveForPower:
             sol = solve_for_power(LC_MODEL, make_receiver(rl), lc_grid, POWER_W)
             assert sol.capacity / lc_band.bandwidth == pytest.approx(expected, rel=0.03)
 
-    def test_power_tolerance_contract(self, lc_grid, receiver):
-        sol = solve_for_power(LC_MODEL, receiver, lc_grid, POWER_W, tol=1e-6)
-        assert abs(sol.power - POWER_W) / POWER_W <= 1e-6
+    @pytest.mark.parametrize("p_t", [POWER_W / 100, POWER_W, 100 * POWER_W, 1e-6])
+    def test_power_budget_met_exactly(self, lc_grid, p_t):
+        for rl in (5e4, 5e6):
+            sol = solve_for_power(LC_MODEL, make_receiver(rl), lc_grid, p_t)
+            assert abs(sol.power - p_t) / p_t <= 1e-12
+            if p_t == 1e-6:  # powers the whole band at every load resistance
+                assert np.all(sol.support_mask)
 
     def test_small_power_limit(self, lc_grid, receiver):
         r = ratio_alpha_beta(LC_MODEL, receiver, lc_grid.nodes)
@@ -134,10 +171,10 @@ class TestSolveForPower:
     def test_derivative_of_capacity_is_mu(self, lc_grid, receiver):
         # the multiplier convention of the support rule makes dC/dP = mu*log2(e)
         for p_t in (POWER_W, 10 * POWER_W, 100 * POWER_W):
-            sol = solve_for_power(LC_MODEL, receiver, lc_grid, p_t, tol=1e-10)
+            sol = solve_for_power(LC_MODEL, receiver, lc_grid, p_t)
             dp = p_t * 1e-4
-            c_hi = solve_for_power(LC_MODEL, receiver, lc_grid, p_t + dp, tol=1e-10).capacity
-            c_lo = solve_for_power(LC_MODEL, receiver, lc_grid, p_t - dp, tol=1e-10).capacity
+            c_hi = solve_for_power(LC_MODEL, receiver, lc_grid, p_t + dp).capacity
+            c_lo = solve_for_power(LC_MODEL, receiver, lc_grid, p_t - dp).capacity
             slope = (c_hi - c_lo) / (2 * dp)
             assert slope == pytest.approx(sol.mu * math.log2(math.e), rel=0.05)
 
@@ -155,6 +192,15 @@ class TestSweep:
             lb = capacity_lower_bound(LC_MODEL, receiver, lc_band, p.power, lc_grid)
             ub = capacity_upper_bound(receiver, lc_band, p.power)
             assert lb <= p.capacity <= ub
+        assert np.all(result.termination.support_mask)
+
+    def test_default_multipliers_span_the_ratio(self, lc_grid, receiver):
+        r = ratio_alpha_beta(LC_MODEL, receiver, lc_grid.nodes)
+        result = sweep(LC_MODEL, receiver, lc_grid)
+        mus = [p.mu for p in result.points]
+        assert len(mus) == 50
+        assert mus[0] == pytest.approx(r.max(), rel=1e-8) and mus[-1] == pytest.approx(r.min())
+        assert result.points[0].power > 0
         assert np.all(result.termination.support_mask)
 
     def test_rejects_unsorted(self, lc_grid, receiver):
@@ -180,3 +226,41 @@ class TestQuadratureOracle:
             TLINE_MODEL, rx, tline_band, sol.mu, 4 * len(tline_grid.nodes))
         assert cap == pytest.approx(sol.capacity, rel=1e-3)
         assert power == pytest.approx(sol.power, rel=1e-3)
+
+
+class TestRandomShortedLines:
+    """Grid and solver properties over random line lengths, taps and budgets."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        poles=st.floats(0.5, 120.0),
+        taps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        points_per_pole=st.sampled_from([8, 12, 32]),
+        rl=st.floats(5e4, 5e6),
+        power_scale=st.floats(0.2, 25.0),
+    )
+    def test_grid_and_kkt(self, tline_band, poles, taps, points_per_pole, rl, power_scale):
+        # about `poles` in-band poles; at 8 base points per pole the refinement
+        # windows (+-10 base spacings) of neighbouring poles overlap
+        length = poles * 3.0e8 / (2 * tline_band.bandwidth)
+        model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
+        base_points = max(16, round(points_per_pole * poles))
+        grid = build_grid(tline_band, model, base_points, 6)
+
+        assert np.all(np.diff(grid.nodes) > 0)
+        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes],
+                                      poles_in_interval(model, tline_band.lo, tline_band.hi))
+        assert np.sum(grid.weights) == pytest.approx(2 * math.pi * tline_band.bandwidth,
+                                                     rel=1e-12)
+
+        rx = make_receiver(rl)
+        p_t = power_scale * POWER_W
+        sol = solve_for_power(model, rx, grid, p_t)
+        r = ratio_alpha_beta(model, rx, grid.nodes)
+        valid = eval_reactances(model, grid.nodes).num_rt != 0
+        assert np.all(r[sol.support_mask] > sol.mu)
+        assert np.all(r[valid & ~sol.support_mask] <= sol.mu)
+        assert abs(sol.power - p_t) / p_t <= 1e-12
+        # the water level is the budget's inverse: power falls through p_t at mu
+        assert solve_for_mu(model, rx, grid, sol.mu * (1 + 1e-9)).power < p_t
+        assert solve_for_mu(model, rx, grid, sol.mu * (1 - 1e-9)).power > p_t
