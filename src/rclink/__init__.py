@@ -7,7 +7,6 @@ from .channels import (
     TLineOpenEnds,
     TLineShortedTapped,
     eval_reactances,
-    lc_impulse_z21,
     poles_in_interval,
 )
 from .config import RunConfig, default_config, load_config, parse_config, serialize_config

@@ -8,13 +8,17 @@ common denominator that vanishes at the resonance frequencies.  Entries
 are therefore represented as (numerator, denominator) pairs so that
 evaluation stays finite on the poles and pole limits become plain
 arithmetic downstream.
+
+Each class owns its config name (`kind`), the JSON keys of its fields in
+field order (`keys`), `reactances(omega)` and `poles(lo, hi)`; a new kind is
+one more class in `CHANNEL_KINDS`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -23,63 +27,11 @@ __all__ = [
     "TLineOpenEnds",
     "TLineShortedTapped",
     "ChannelModel",
+    "CHANNEL_KINDS",
     "ReactanceSample",
     "eval_reactances",
     "poles_in_interval",
-    "lc_impulse_z21",
 ]
-
-
-@dataclass(frozen=True)
-class LcParallel:
-    """Parallel inductor-capacitor two-port (both ports across the tank)."""
-
-    inductance: float  # H
-    capacitance: float  # F
-
-    def __post_init__(self):
-        if self.inductance <= 0 or self.capacitance <= 0:
-            raise ValueError("inductance and capacitance must be positive")
-
-    @property
-    def resonance(self) -> float:
-        """Resonant angular frequency 1/sqrt(LC), rad/s."""
-        return 1.0 / math.sqrt(self.inductance * self.capacitance)
-
-
-@dataclass(frozen=True)
-class TLineOpenEnds:
-    """Open-circuited line segment with ports at x=0 and x=length."""
-
-    char_impedance: float  # ohm
-    wave_speed: float  # m/s
-    length: float  # m
-
-    def __post_init__(self):
-        if self.char_impedance <= 0 or self.wave_speed <= 0 or self.length <= 0:
-            raise ValueError("char_impedance, wave_speed, length must be positive")
-
-
-@dataclass(frozen=True)
-class TLineShortedTapped:
-    """Line shorted at both ends, tapped at x_transmit and x_receive."""
-
-    char_impedance: float  # ohm
-    wave_speed: float  # m/s
-    length: float  # m
-    x_transmit: float  # m
-    x_receive: float  # m
-
-    def __post_init__(self):
-        if self.char_impedance <= 0 or self.wave_speed <= 0 or self.length <= 0:
-            raise ValueError("char_impedance, wave_speed, length must be positive")
-        if not (0.0 <= self.x_transmit <= self.length):
-            raise ValueError("x_transmit must lie in [0, length]")
-        if not (0.0 <= self.x_receive <= self.length):
-            raise ValueError("x_receive must lie in [0, length]")
-
-
-ChannelModel = Union[LcParallel, TLineOpenEnds, TLineShortedTapped]
 
 
 @dataclass(frozen=True)
@@ -98,42 +50,100 @@ class ReactanceSample:
     denom: np.ndarray | float  # dimensionless
     omega: np.ndarray | float  # rad/s
 
-    @property
-    def z_rt(self):
-        """Mutual reactance Z_RT'' (inf/nan exactly on poles)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.num_rt / self.denom
+
+@dataclass(frozen=True)
+class LcParallel:
+    """Parallel inductor-capacitor two-port (both ports across the tank)."""
+
+    kind: ClassVar[str] = "lc_parallel"
+    keys: ClassVar[tuple[str, ...]] = ("inductance_h", "capacitance_f")
+
+    inductance: float  # H
+    capacitance: float  # F
+
+    def __post_init__(self):
+        if self.inductance <= 0 or self.capacitance <= 0:
+            raise ValueError("inductance and capacitance must be positive")
 
     @property
-    def z_r(self):
-        """Receive self-reactance Z_R'' (inf/nan exactly on poles)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.num_r / self.denom
+    def resonance(self) -> float:
+        """Resonant angular frequency 1/sqrt(LC), rad/s."""
+        return 1.0 / math.sqrt(self.inductance * self.capacitance)
 
-
-def eval_reactances(model: ChannelModel, omega) -> ReactanceSample:
-    """Evaluate the three reactance entries of `model` at `omega` (rad/s).
-
-    Accepts a scalar or ndarray of real frequencies; total on the real line.
-    """
-    omega = np.asarray(omega, dtype=float) if np.ndim(omega) else float(omega)
-    if isinstance(model, LcParallel):
-        num = omega * model.inductance
-        denom = 1.0 - model.inductance * model.capacitance * omega**2
+    def reactances(self, omega) -> ReactanceSample:
+        num = omega * self.inductance
+        denom = 1.0 - self.inductance * self.capacitance * omega**2
         return ReactanceSample(num, num, num, denom, omega)
-    if isinstance(model, TLineOpenEnds):
-        kl = omega * model.length / model.wave_speed
-        z0 = model.char_impedance
+
+    def poles(self, lo: float, hi: float) -> np.ndarray:
+        w0 = self.resonance
+        return np.array([w0]) if lo <= w0 <= hi else np.array([])
+
+
+@dataclass(frozen=True)
+class _Line:
+    """Lossless line segment; its poles sit at pi*c0*l/length for integer l >= 0."""
+
+    char_impedance: float  # ohm
+    wave_speed: float  # m/s
+    length: float  # m
+
+    def __post_init__(self):
+        if self.char_impedance <= 0 or self.wave_speed <= 0 or self.length <= 0:
+            raise ValueError("char_impedance, wave_speed, length must be positive")
+
+    def poles(self, lo: float, hi: float) -> np.ndarray:
+        step = math.pi * self.wave_speed / self.length
+        # tolerance absorbs roundoff at interval endpoints
+        l_min = math.ceil(lo / step - 1e-9)
+        l_max = math.floor(hi / step + 1e-9)
+        l_min = max(l_min, 0)
+        if l_max < l_min:
+            return np.array([])
+        return step * np.arange(l_min, l_max + 1, dtype=float)
+
+
+@dataclass(frozen=True)
+class TLineOpenEnds(_Line):
+    """Open-circuited line segment with ports at x=0 and x=length."""
+
+    kind: ClassVar[str] = "tline_open_ends"
+    keys: ClassVar[tuple[str, ...]] = ("char_impedance_ohm", "wave_speed_m_s", "length_m")
+
+    def reactances(self, omega) -> ReactanceSample:
+        kl = omega * self.length / self.wave_speed
+        z0 = self.char_impedance
         # entries of the open-line matrix carry a -1/sin(kL) prefactor;
         # the -1 is folded into the numerators
         denom = np.sin(kl)
         num_diag = -z0 * np.cos(kl)
         num_off = -z0 * np.ones_like(denom) if np.ndim(kl) else -z0
         return ReactanceSample(num_diag, num_diag, num_off, denom, omega)
-    if isinstance(model, TLineShortedTapped):
-        k = omega / model.wave_speed
-        z0, length = model.char_impedance, model.length
-        xt, xr = model.x_transmit, model.x_receive
+
+
+@dataclass(frozen=True)
+class TLineShortedTapped(_Line):
+    """Line shorted at both ends, tapped at x_transmit and x_receive."""
+
+    kind: ClassVar[str] = "tline_shorted_tapped"
+    keys: ClassVar[tuple[str, ...]] = (
+        "char_impedance_ohm", "wave_speed_m_s", "length_m", "x_transmit_m", "x_receive_m",
+    )
+
+    x_transmit: float  # m
+    x_receive: float  # m
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 <= self.x_transmit <= self.length):
+            raise ValueError("x_transmit must lie in [0, length]")
+        if not (0.0 <= self.x_receive <= self.length):
+            raise ValueError("x_receive must lie in [0, length]")
+
+    def reactances(self, omega) -> ReactanceSample:
+        k = omega / self.wave_speed
+        z0, length = self.char_impedance, self.length
+        xt, xr = self.x_transmit, self.x_receive
         denom = np.sin(k * length)
         cos_kl = np.cos(k * length)
         num_t = 0.5 * z0 * (np.cos(k * (length - 2 * xt)) - cos_kl)
@@ -148,7 +158,20 @@ def eval_reactances(model: ChannelModel, omega) -> ReactanceSample:
                 np.cos(k * (length - (xr + xt))) - np.cos(k * (length - abs(xt - xr)))
             )
         return ReactanceSample(num_t, num_r, num_rt, denom, omega)
-    raise TypeError(f"unsupported channel model: {model!r}")
+
+
+ChannelModel = Union[LcParallel, TLineOpenEnds, TLineShortedTapped]
+
+CHANNEL_KINDS = {cls.kind: cls for cls in (LcParallel, TLineOpenEnds, TLineShortedTapped)}
+
+
+def eval_reactances(model: ChannelModel, omega) -> ReactanceSample:
+    """Evaluate the three reactance entries of `model` at `omega` (rad/s).
+
+    Accepts a scalar or ndarray of real frequencies; total on the real line.
+    """
+    omega = np.asarray(omega, dtype=float) if np.ndim(omega) else float(omega)
+    return model.reactances(omega)
 
 
 def poles_in_interval(model: ChannelModel, lo: float, hi: float) -> np.ndarray:
@@ -160,27 +183,4 @@ def poles_in_interval(model: ChannelModel, lo: float, hi: float) -> np.ndarray:
     """
     if not (0 <= lo < hi):
         raise ValueError("require 0 <= lo < hi")
-    if isinstance(model, LcParallel):
-        w0 = model.resonance
-        return np.array([w0]) if lo <= w0 <= hi else np.array([])
-    if isinstance(model, (TLineOpenEnds, TLineShortedTapped)):
-        step = math.pi * model.wave_speed / model.length
-        # tolerance absorbs roundoff at interval endpoints
-        l_min = math.ceil(lo / step - 1e-9)
-        l_max = math.floor(hi / step + 1e-9)
-        l_min = max(l_min, 0)
-        if l_max < l_min:
-            return np.array([])
-        return step * np.arange(l_min, l_max + 1, dtype=float)
-    raise TypeError(f"unsupported channel model: {model!r}")
-
-
-def lc_impulse_z21(model: LcParallel, t) -> np.ndarray | float:
-    """Transfer impulse response of the LC two-port: cos(t/sqrt(LC))/C for t>=0."""
-    if not isinstance(model, LcParallel):
-        raise TypeError("lc_impulse_z21 requires an LcParallel model")
-    t = np.asarray(t, dtype=float) if np.ndim(t) else float(t)
-    val = np.cos(t * model.resonance) / model.capacitance
-    return np.where(np.asarray(t) >= 0, val, 0.0) if np.ndim(t) else (
-        val if t >= 0 else 0.0
-    )
+    return model.poles(lo, hi)

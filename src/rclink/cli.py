@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .channels import (
 )
 from .config import ConfigError, RunConfig, default_config, load_config
 from .linkmodel import (
-    ReceiverParams,
     capacity_lower_bound,
     capacity_upper_bound,
     ratio_alpha_beta,
@@ -36,10 +36,6 @@ from .waterfill import build_grid, solve_for_power, sweep
 __all__ = ["main"]
 
 _FMT = "%.17g"
-
-
-def _with_rl(rx: ReceiverParams, rl: float) -> ReceiverParams:
-    return ReceiverParams(rl, rx.amp_gain, rx.amp_noise_density, rx.temperature, rx.boltzmann)
 
 
 def _atomic_write(path: str, text: str):
@@ -71,33 +67,27 @@ def _per_rl_path(out: str, rl: float) -> str:
     return f"{stem}_rl{rl:g}{ext or '.csv'}"
 
 
-def cmd_transfer(config: RunConfig, out_path: str) -> list[str]:
-    """Transfer-magnitude curve per load resistance; one CSV each."""
+# per-R_L curve commands: CSV header and columns(model, rx, nodes)
+_CURVES = {
+    "transfer": (["omega_rad_s", "freq_ghz", "transfer_ohm"],
+                 lambda model, rx, nodes: [nodes, nodes / (2 * math.pi * 1e9),
+                                           transfer_magnitude(model, rx, nodes)]),
+    "ratio": (["omega_rad_s", "ratio"],
+              lambda model, rx, nodes: [nodes, ratio_alpha_beta(model, rx, nodes)]),
+}
+
+
+def cmd_curve(command: str, config: RunConfig, out_path: str) -> list[str]:
+    """One CSV per load resistance of a `_CURVES` command's curve over the grid."""
     if not config.load_resistances:
         raise ConfigError("analysis.load_resistances_ohm must be nonempty")
+    header, columns = _CURVES[command]
     grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
     written = []
     for rl in config.load_resistances:
-        rx = _with_rl(config.receiver, rl)
-        tf = transfer_magnitude(config.channel, rx, grid.nodes)
+        rx = replace(config.receiver, load_resistance=rl)
         path = _per_rl_path(out_path, rl)
-        _write_csv(path, ["omega_rad_s", "freq_ghz", "transfer_ohm"],
-                   [grid.nodes, grid.nodes / (2 * math.pi * 1e9), tf])
-        written.append(path)
-    return written
-
-
-def cmd_ratio(config: RunConfig, out_path: str) -> list[str]:
-    """alpha/beta curve per load resistance; one CSV each."""
-    if not config.load_resistances:
-        raise ConfigError("analysis.load_resistances_ohm must be nonempty")
-    grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
-    written = []
-    for rl in config.load_resistances:
-        rx = _with_rl(config.receiver, rl)
-        ratio = ratio_alpha_beta(config.channel, rx, grid.nodes)
-        path = _per_rl_path(out_path, rl)
-        _write_csv(path, ["omega_rad_s", "ratio"], [grid.nodes, ratio])
+        _write_csv(path, header, columns(config.channel, rx, grid.nodes))
         written.append(path)
     return written
 
@@ -145,24 +135,21 @@ def cmd_table1(out_path: str, base_points: int = 512, refine_levels: int = 6) ->
     p_t = config.power_w
     b = band.bandwidth
     grid = build_grid(band, grid_model, base_points, refine_levels)
-    rls, lowers, ses, uppers = [], [], [], []
+    rows = []
     for rl in config.load_resistances:
-        rx = _with_rl(config.receiver, rl)
+        rx = replace(config.receiver, load_resistance=rl)
         lower = capacity_lower_bound(grid_model, rx, band, p_t, grid) / b
         upper = capacity_upper_bound(rx, band, p_t) / b
         se = solve_for_power(grid_model, rx, grid, p_t).capacity / b
-        rls.append(rl)
-        lowers.append(lower)
-        ses.append(se)
-        uppers.append(upper)
+        rows.append((rl, lower, se, upper))
     _write_csv(out_path,
                ["load_resistance_ohm", "lower_bound_bs_hz", "spectral_efficiency_bs_hz",
                 "upper_bound_bs_hz"],
-               [np.array(rls), np.array(lowers), np.array(ses), np.array(uppers)])
+               np.array(rows).T)
     return out_path
 
 
-def _verify_checks(config: RunConfig):
+def _verify_checks():
     """Closed-form vs bounce-series oracle checks; yields (name, ok, detail)."""
     rng = np.random.default_rng(0)
 
@@ -217,10 +204,10 @@ def _verify_checks(config: RunConfig):
     yield "mutual reactance vs Helmholtz solution", worst <= 1e-4, f"max rel err {worst:.2e}"
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify() -> int:
     """Run the physics oracle suite; nonzero exit on any failure."""
     status = 0
-    for name, ok, detail in _verify_checks(config):
+    for name, ok, detail in _verify_checks():
         print(f"{'PASS' if ok else 'FAIL'}: {name} ({detail})")
         if not ok:
             status = 1
@@ -241,13 +228,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-points", type=int, help="override grid base points")
         p.add_argument("--refine", type=int, help="override pole refinement levels")
 
-    p = sub.add_parser("transfer", help="transfer magnitude vs frequency per load resistance")
-    common(p)
-    p.add_argument("--rl", help="comma-separated load resistances (ohm) override")
-
-    p = sub.add_parser("ratio", help="alpha/beta ratio vs frequency per load resistance")
-    common(p)
-    p.add_argument("--rl", help="comma-separated load resistances (ohm) override")
+    for name, what in (("transfer", "transfer magnitude"), ("ratio", "alpha/beta ratio")):
+        p = sub.add_parser(name, help=f"{what} vs frequency per load resistance")
+        common(p)
+        p.add_argument("--rl", help="comma-separated load resistances (ohm) override")
 
     p = sub.add_parser("waterfill", help="optimal transmit spectral density at a power budget")
     common(p)
@@ -265,27 +249,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    from dataclasses import replace
+def _float_list(text: str, flag: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} list: {exc}") from exc
 
-    if getattr(args, "grid_points", None):
+
+def _apply_overrides(config: RunConfig, args) -> RunConfig:
+    if getattr(args, "grid_points", None) is not None:
         config = replace(config, base_points=args.grid_points)
     if getattr(args, "refine", None) is not None:
         config = replace(config, refine_levels=args.refine)
-    if getattr(args, "rl", None):
-        try:
-            rls = tuple(float(v) for v in args.rl.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --rl list: {exc}") from exc
-        config = replace(config, load_resistances=rls)
-    if getattr(args, "power", None):
+    if getattr(args, "rl", None) is not None:
+        config = replace(config, load_resistances=_float_list(args.rl, "--rl"))
+    if getattr(args, "power", None) is not None:
         config = replace(config, power_w=args.power)
-    if getattr(args, "mu", None):
-        try:
-            mus = tuple(float(v) for v in args.mu.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --mu list: {exc}") from exc
-        config = replace(config, mu_list=mus)
+    if getattr(args, "mu", None) is not None:
+        config = replace(config, mu_list=_float_list(args.mu, "--mu"))
     return config
 
 
@@ -294,11 +275,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config) if args.config else default_config()
         config = _apply_overrides(config, args)
-        if args.command == "transfer":
-            for path in cmd_transfer(config, args.out):
-                print(path)
-        elif args.command == "ratio":
-            for path in cmd_ratio(config, args.out):
+        if args.command in _CURVES:
+            for path in cmd_curve(args.command, config, args.out):
                 print(path)
         elif args.command == "waterfill":
             csv_path, json_path = cmd_waterfill(config, args.out)
@@ -309,8 +287,8 @@ def main(argv=None) -> int:
         elif args.command == "table1":
             print(cmd_table1(args.out, config.base_points, config.refine_levels))
         elif args.command == "verify":
-            return cmd_verify(config)
-    except ConfigError as exc:
+            return cmd_verify()
+    except ValueError as exc:  # ConfigError, or a value a solver refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, RuntimeError) as exc:

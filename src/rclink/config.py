@@ -2,17 +2,19 @@
 
 Frequencies in the file carry explicit unit suffixes (`_hz` or `_rad_s`) and
 are converted to rad/s internally.  Unknown keys are rejected so typos fail
-loudly instead of silently falling back to defaults.
+loudly instead of silently falling back to defaults.  Channel sections map
+through `channels.CHANNEL_KINDS`; missing `grid` and `analysis` keys are
+filled from `DEFAULT_CONFIG`, the one place defaults are written.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .channels import ChannelModel, LcParallel, TLineOpenEnds, TLineShortedTapped
-from .linkmodel import Band, ReceiverParams
+from .channels import CHANNEL_KINDS, ChannelModel
+from .linkmodel import BOLTZMANN_DEFAULT, Band, ReceiverParams
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "default_config"]
 
@@ -31,7 +33,7 @@ DEFAULT_CONFIG = {
         "amp_gain": 100.0,
         "amp_noise_v2_per_hz": 3.29e-18,
         "temperature_k": 300.0,
-        "boltzmann_j_per_k": 1.38e-23,
+        "boltzmann_j_per_k": BOLTZMANN_DEFAULT,
     },
     "band": {"carrier_rad_s": (4.7e-9 * 6.0e-13) ** -0.5, "bandwidth_hz": 1.0e7},
     "grid": {"base_points": 512, "refine_levels": 6},
@@ -53,6 +55,12 @@ DEFAULT_TLINE_CHANNEL = {
 }
 
 
+# ReceiverParams fields in order
+_RECEIVER_KEYS = (
+    "load_resistance_ohm", "amp_gain", "amp_noise_v2_per_hz", "temperature_k", "boltzmann_j_per_k",
+)
+
+
 class ConfigError(ValueError):
     """Invalid or malformed run configuration."""
 
@@ -62,11 +70,11 @@ class RunConfig:
     channel: ChannelModel
     receiver: ReceiverParams
     band: Band
-    base_points: int = 512
-    refine_levels: int = 6
-    load_resistances: tuple[float, ...] = (5.0e4, 5.0e5, 5.0e6)
-    power_w: float = 2.68e-14
-    mu_list: tuple[float, ...] = ()
+    base_points: int
+    refine_levels: int
+    load_resistances: tuple[float, ...]
+    power_w: float
+    mu_list: tuple[float, ...]
 
 
 def _take(section: dict, where: str, keys: dict):
@@ -83,31 +91,21 @@ def _take(section: dict, where: str, keys: dict):
     return out
 
 
+def _defaulted(top: dict, name: str) -> dict:
+    """An optional section's keys, each missing one taken from DEFAULT_CONFIG."""
+    defaults = DEFAULT_CONFIG[name]
+    return {**defaults, **_take(top.get(name, {}), name, dict.fromkeys(defaults, False))}
+
+
 def _parse_channel(section: dict) -> ChannelModel:
-    kind = section.get("kind")
+    cls = CHANNEL_KINDS.get(section.get("kind"))
+    if cls is None:
+        raise ConfigError(f"unknown channel kind: {section.get('kind')!r}")
+    vals = _take(section, "channel", dict.fromkeys(("kind",) + cls.keys, True))
     try:
-        if kind == "lc_parallel":
-            vals = _take(section, "channel", {"kind": True, "inductance_h": True, "capacitance_f": True})
-            return LcParallel(vals["inductance_h"], vals["capacitance_f"])
-        if kind == "tline_open_ends":
-            vals = _take(section, "channel", {
-                "kind": True, "char_impedance_ohm": True, "wave_speed_m_s": True, "length_m": True,
-            })
-            return TLineOpenEnds(vals["char_impedance_ohm"], vals["wave_speed_m_s"], vals["length_m"])
-        if kind == "tline_shorted_tapped":
-            vals = _take(section, "channel", {
-                "kind": True, "char_impedance_ohm": True, "wave_speed_m_s": True,
-                "length_m": True, "x_transmit_m": True, "x_receive_m": True,
-            })
-            return TLineShortedTapped(
-                vals["char_impedance_ohm"], vals["wave_speed_m_s"], vals["length_m"],
-                vals["x_transmit_m"], vals["x_receive_m"],
-            )
+        return cls(*(vals[k] for k in cls.keys))
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
-    raise ConfigError(f"unknown channel kind: {kind!r}")
 
 
 def _parse_band(section: dict) -> Band:
@@ -128,67 +126,32 @@ def parse_config(doc: dict) -> RunConfig:
     top = _take(doc, "config", {"channel": True, "receiver": True, "band": True,
                                 "grid": False, "analysis": False})
     channel = _parse_channel(top["channel"])
-    rv = _take(top["receiver"], "receiver", {
-        "load_resistance_ohm": True, "amp_gain": True, "amp_noise_v2_per_hz": True,
-        "temperature_k": True, "boltzmann_j_per_k": False,
-    })
+    required = {key: key != "boltzmann_j_per_k" for key in _RECEIVER_KEYS}
+    rv = {"boltzmann_j_per_k": BOLTZMANN_DEFAULT, **_take(top["receiver"], "receiver", required)}
     try:
-        receiver = ReceiverParams(
-            rv["load_resistance_ohm"], rv["amp_gain"], rv["amp_noise_v2_per_hz"],
-            rv["temperature_k"], rv.get("boltzmann_j_per_k", 1.38e-23),
-        )
+        receiver = ReceiverParams(*(rv[key] for key in _RECEIVER_KEYS))
     except ValueError as exc:
         raise ConfigError(f"invalid receiver: {exc}") from exc
     band = _parse_band(top["band"])
-    gv = _take(top.get("grid", {}), "grid", {"base_points": False, "refine_levels": False})
-    av = _take(top.get("analysis", {}), "analysis", {
-        "load_resistances_ohm": False, "power_w": False, "mu_list": False,
-    })
+    gv, av = _defaulted(top, "grid"), _defaulted(top, "analysis")
     return RunConfig(
         channel=channel,
         receiver=receiver,
         band=band,
-        base_points=int(gv.get("base_points", 512)),
-        refine_levels=int(gv.get("refine_levels", 6)),
-        load_resistances=tuple(av.get("load_resistances_ohm", (5.0e4, 5.0e5, 5.0e6))),
-        power_w=float(av.get("power_w", 2.68e-14)),
-        mu_list=tuple(av.get("mu_list", ())),
+        base_points=int(gv["base_points"]),
+        refine_levels=int(gv["refine_levels"]),
+        load_resistances=tuple(av["load_resistances_ohm"]),
+        power_w=float(av["power_w"]),
+        mu_list=tuple(av["mu_list"]),
     )
 
 
 def serialize_config(config: RunConfig) -> dict:
     """Inverse of parse_config: parse(serialize(c)) == c."""
-    if isinstance(config.channel, LcParallel):
-        channel = {
-            "kind": "lc_parallel",
-            "inductance_h": config.channel.inductance,
-            "capacitance_f": config.channel.capacitance,
-        }
-    elif isinstance(config.channel, TLineOpenEnds):
-        channel = {
-            "kind": "tline_open_ends",
-            "char_impedance_ohm": config.channel.char_impedance,
-            "wave_speed_m_s": config.channel.wave_speed,
-            "length_m": config.channel.length,
-        }
-    else:
-        channel = {
-            "kind": "tline_shorted_tapped",
-            "char_impedance_ohm": config.channel.char_impedance,
-            "wave_speed_m_s": config.channel.wave_speed,
-            "length_m": config.channel.length,
-            "x_transmit_m": config.channel.x_transmit,
-            "x_receive_m": config.channel.x_receive,
-        }
+    ch = config.channel
     return {
-        "channel": channel,
-        "receiver": {
-            "load_resistance_ohm": config.receiver.load_resistance,
-            "amp_gain": config.receiver.amp_gain,
-            "amp_noise_v2_per_hz": config.receiver.amp_noise_density,
-            "temperature_k": config.receiver.temperature,
-            "boltzmann_j_per_k": config.receiver.boltzmann,
-        },
+        "channel": {"kind": ch.kind, **dict(zip(ch.keys, astuple(ch)))},
+        "receiver": dict(zip(_RECEIVER_KEYS, astuple(config.receiver))),
         "band": {"carrier_rad_s": config.band.carrier, "bandwidth_hz": config.band.bandwidth},
         "grid": {"base_points": config.base_points, "refine_levels": config.refine_levels},
         "analysis": {

@@ -5,7 +5,8 @@ terminated in a load resistor whose voltage is read by an infinite-impedance
 amplifier.  Noise enters as Johnson noise of the resistor (density
 2*k_B*T*R_L) and white amplifier noise (density Q_A).  All per-frequency
 functionals are computed from the rational reactance representation so they
-stay finite on the channel poles.
+stay finite on the channel poles; they share one noise-term helper, and the
+module holds the one trapezoid rule, also used by `waterfill`.
 """
 
 from __future__ import annotations
@@ -97,30 +98,34 @@ def _sample(model, omega) -> ReactanceSample:
     return eval_reactances(model, omega)
 
 
+def _noise(s: ReactanceSample, rx: ReceiverParams):
+    """Load term num_r^2 + R_L^2 denom^2 and Johnson term 2 g^2 k T R_L num_r^2."""
+    rl = rx.load_resistance
+    load = s.num_r**2 + rl**2 * s.denom**2
+    johnson = 2 * rx.amp_gain**2 * rx.boltzmann * rx.temperature * rl * s.num_r**2
+    return load, johnson
+
+
 def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
     """|V_R / I_T| = R_L |Z_RT| / |Z_R + R_L| in ohms, finite on poles."""
     s = _sample(model, omega)
-    rl = rx.load_resistance
-    return rl * np.abs(s.num_rt) / np.sqrt(s.num_r**2 + rl**2 * s.denom**2)
+    load, _ = _noise(s, rx)
+    return rx.load_resistance * np.abs(s.num_rt) / np.sqrt(load)
 
 
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s)."""
     s = _sample(model, omega)
-    rl, g = rx.load_resistance, rx.amp_gain
-    johnson = 2 * g**2 * rx.boltzmann * rx.temperature * rl
-    num = g**2 * s.num_rt**2 * rl**2
-    den = johnson * s.num_r**2 + rx.amp_noise_density * (
-        s.num_r**2 + rl**2 * s.denom**2
-    )
-    return num / den
+    load, johnson = _noise(s, rx)
+    num = rx.amp_gain**2 * s.num_rt**2 * rx.load_resistance**2
+    return num / (johnson + rx.amp_noise_density * load)
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
     """Transmit power per unit transmit-current spectral density, ohms."""
     s = _sample(model, omega)
-    rl = rx.load_resistance
-    return 2 * rl * s.num_rt**2 / (s.num_r**2 + rl**2 * s.denom**2)
+    load, _ = _noise(s, rx)
+    return 2 * rx.load_resistance * s.num_rt**2 / load
 
 
 def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -131,13 +136,10 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
     Every channel pole is a local minimum of this quantity.
     """
     s = _sample(model, omega)
-    rl, g = rx.load_resistance, rx.amp_gain
-    johnson = 2 * g**2 * rx.boltzmann * rx.temperature * rl
-    d2rl2 = rl**2 * s.denom**2
+    load, johnson = _noise(s, rx)
     # multiplied-out arrangement: no cancellation off-pole, finite on poles
-    num = s.num_r**2 + d2rl2
-    den = johnson * s.num_r**2 + rx.amp_noise_density * num
-    return (g**2 * rl / 2) * num / den
+    den = johnson + rx.amp_noise_density * load
+    return (rx.amp_gain**2 * rx.load_resistance / 2) * load / den
 
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
@@ -145,11 +147,10 @@ def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPs
     if np.any(np.asarray(s_it) < 0):
         raise ValueError("s_it must be nonnegative")
     s = _sample(model, omega)
-    rl, g = rx.load_resistance, rx.amp_gain
-    den = s.num_r**2 + rl**2 * s.denom**2
-    signal = g**2 * s.num_rt**2 * rl**2 * s_it / den
-    johnson = 2 * g**2 * rx.boltzmann * rx.temperature * rl * s.num_r**2 / den
-    return OutputPsd(signal, johnson, rx.amp_noise_density * np.ones_like(den) if np.ndim(den) else rx.amp_noise_density)
+    load, johnson = _noise(s, rx)
+    signal = rx.amp_gain**2 * s.num_rt**2 * rx.load_resistance**2 * s_it / load
+    qa = rx.amp_noise_density
+    return OutputPsd(signal, johnson / load, qa * np.ones_like(load) if np.ndim(load) else qa)
 
 
 def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
@@ -161,51 +162,37 @@ def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
     return b * math.log2(1 + snr)
 
 
+def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    w = np.empty_like(nodes)
+    w[1:-1] = (nodes[2:] - nodes[:-2]) / 2
+    w[0] = (nodes[1] - nodes[0]) / 2
+    w[-1] = (nodes[-1] - nodes[-2]) / 2
+    return w
+
+
 def capacity_lower_bound(
     model: ChannelModel,
     rx: ReceiverParams,
     band: Band,
     p_t: float,
     grid,
-    check_resolution: bool = True,
 ) -> float:
     """Capacity of the flat-SNR (zero-temperature-optimal) transmit density.
 
-    Integrates log2[1 + snr0 * psi(omega)] over the band, where psi is the
-    Johnson-noise degradation factor, using the quadrature nodes/weights of
-    `grid` (see waterfill.build_grid).  With T=0 this reduces exactly to the
-    upper bound.
+    Integrates log2[1 + p_t * (alpha/beta)(omega) / B] over the band with the
+    quadrature nodes/weights of `grid` (see waterfill.build_grid).  With T=0
+    this reduces exactly to the upper bound.  Raises ValueError when the grid
+    is too coarse: every other node moves the result by more than 1e-3.
     """
     if p_t < 0:
         raise ValueError("p_t must be nonnegative")
     nodes, weights = np.asarray(grid.nodes), np.asarray(grid.weights)
-    snr0 = p_t * rx.amp_gain**2 * rx.load_resistance / (
-        2 * band.bandwidth * rx.amp_noise_density
-    )
-
-    def integrand(omega):
-        s = eval_reactances(model, omega)
-        rl, g = rx.load_resistance, rx.amp_gain
-        johnson = 2 * g**2 * rx.boltzmann * rx.temperature * rl
-        qa = rx.amp_noise_density
-        den = qa * (s.num_r**2 + rl**2 * s.denom**2)
-        psi = den / (den + johnson * s.num_r**2)
-        return np.log2(1 + snr0 * psi)
-
-    vals = integrand(nodes)
+    vals = np.log2(1 + p_t * ratio_alpha_beta(model, rx, nodes) / band.bandwidth)
     result = float(np.sum(weights * vals) / (2 * math.pi))
-    if check_resolution and len(nodes) > 32:
-        # every-other-node trapezoid as a coarsened comparison
-        coarse_n = nodes[::2]
-        coarse_v = vals[::2]
-        cw = np.empty_like(coarse_n)
-        cw[1:-1] = (coarse_n[2:] - coarse_n[:-2]) / 2
-        cw[0] = (coarse_n[1] - coarse_n[0]) / 2
-        cw[-1] = (coarse_n[-1] - coarse_n[-2]) / 2
-        coarse = float(np.sum(cw * coarse_v) / (2 * math.pi))
-        if result != 0 and abs(result - coarse) > 1e-3 * abs(result):
-            raise ValueError(
-                "frequency grid too coarse for the lower-bound integral "
-                f"(refinement changes result by {abs(result - coarse) / abs(result):.2e})"
-            )
+    coarse = float(np.sum(_trapezoid_weights(nodes[::2]) * vals[::2]) / (2 * math.pi))
+    if result != 0 and abs(result - coarse) > 1e-3 * abs(result):
+        raise ValueError(
+            "frequency grid too coarse for the lower-bound integral "
+            f"(refinement changes result by {abs(result - coarse) / abs(result):.2e})"
+        )
     return result

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelModel, eval_reactances, poles_in_interval
-from .linkmodel import Band, ReceiverParams, alpha, beta, ratio_alpha_beta
+from .linkmodel import Band, ReceiverParams, _trapezoid_weights, alpha, beta, ratio_alpha_beta
 
 __all__ = [
     "FrequencyGrid",
@@ -58,14 +58,6 @@ class SweepResult:
 
     points: list[WaterfillSolution]
     termination: WaterfillSolution
-
-
-def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.empty_like(nodes)
-    w[1:-1] = (nodes[2:] - nodes[:-2]) / 2
-    w[0] = (nodes[1] - nodes[0]) / 2
-    w[-1] = (nodes[-1] - nodes[-2]) / 2
-    return w
 
 
 def build_grid(

@@ -10,7 +10,6 @@ from rclink import (
     TLineOpenEnds,
     TLineShortedTapped,
     eval_reactances,
-    lc_impulse_z21,
     poles_in_interval,
 )
 
@@ -122,22 +121,6 @@ class TestPoles:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             poles_in_interval(LC_MODEL, 2e10, 1e10)
-
-
-class TestLcImpulse:
-    def test_causality(self):
-        assert lc_impulse_z21(LC_MODEL, -1e-12) == 0.0
-
-    def test_at_zero(self):
-        assert lc_impulse_z21(LC_MODEL, 0.0) == pytest.approx(1 / 6.0e-13)
-
-    def test_half_period(self):
-        t = math.pi * math.sqrt(LC_MODEL.inductance * LC_MODEL.capacitance)
-        assert lc_impulse_z21(LC_MODEL, t) == pytest.approx(-1 / 6.0e-13)
-
-    def test_rejects_non_lc(self):
-        with pytest.raises(TypeError):
-            lc_impulse_z21(TLINE_MODEL, 0.0)
 
 
 class TestValidation:

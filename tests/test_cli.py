@@ -1,15 +1,26 @@
+import importlib.util
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rclink import default_config, parse_config, serialize_config
-from rclink.channels import poles_in_interval
+from rclink import TLineOpenEnds, default_config, parse_config, serialize_config
+from rclink.channels import CHANNEL_KINDS, poles_in_interval
 from rclink.cli import main
 from rclink.config import DEFAULT_TLINE_CHANNEL, ConfigError
 
-from conftest import LC_MODEL
+from conftest import LC_MODEL, TLINE_MODEL
+
+# one valid instance of every channel kind; a kind added without one fails
+# test_every_kind_has_an_example
+KIND_EXAMPLES = {
+    "lc_parallel": LC_MODEL,
+    "tline_open_ends": TLineOpenEnds(50.0, 3.0e8, 75.0),
+    "tline_shorted_tapped": TLINE_MODEL,
+}
 
 
 def read_csv(path):
@@ -79,6 +90,39 @@ class TestConfig:
         doc["channel"] = {"kind": "rlc"}
         with pytest.raises(ConfigError, match="kind"):
             parse_config(doc)
+
+
+def channel_doc(kind):
+    return serialize_config(replace(default_config(), channel=KIND_EXAMPLES[kind]))
+
+
+class TestChannelKinds:
+    def test_every_kind_has_an_example(self):
+        assert set(KIND_EXAMPLES) == set(CHANNEL_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
+    def test_round_trip(self, kind):
+        config = replace(default_config(), channel=KIND_EXAMPLES[kind])
+        doc = serialize_config(config)
+        assert list(doc["channel"]) == ["kind", *CHANNEL_KINDS[kind].keys]
+        assert doc["channel"]["kind"] == kind
+        assert parse_config(json.loads(json.dumps(doc))) == config
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
+    def test_missing_key(self, kind):
+        for key in CHANNEL_KINDS[kind].keys:
+            doc = channel_doc(kind)
+            del doc["channel"][key]
+            with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+                parse_config(doc)
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_KINDS))
+    def test_invalid_value(self, kind):
+        for key in CHANNEL_KINDS[kind].keys:
+            doc = channel_doc(kind)
+            doc["channel"][key] = -1.0
+            with pytest.raises(ConfigError, match="invalid channel parameters"):
+                parse_config(doc)
 
 
 class TestTransferCommand:
@@ -231,3 +275,43 @@ class TestErrorHandling:
 
     def test_bad_rl_list(self, tmp_path):
         assert main(["transfer", "--out", str(tmp_path / "o.csv"), "--rl", "5e4,abc"]) == 2
+
+    # each value reaches a solver or the grid builder, which refuses it
+    BAD_INPUTS = {
+        "power-zero": ["waterfill", "--power", "0"],
+        "power-negative": ["waterfill", "--power", "-1"],
+        "grid-points-zero": ["waterfill", "--grid-points", "0"],
+        "grid-points-8": ["waterfill", "--grid-points", "8"],
+        "refine-negative": ["waterfill", "--refine", "-1"],
+        "rl-negative": ["transfer", "--rl", "-5"],
+        "mu-ascending": ["sweep", "--mu", "1,2"],
+        "config-base-points-8": ["transfer", "--config", "CONFIG"],
+        "table1-16-nodes": ["table1", "--grid-points", "16", "--refine", "0"],
+        "table1-40-nodes": ["table1", "--grid-points", "40", "--refine", "0"],
+    }
+
+    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv):
+        config = write_config(tmp_path, {"grid.base_points": 8})
+        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [config]
+
+
+class TestReproduceScript:
+    def test_every_artifact_rerun_identical(self, tmp_path):
+        script = Path(__file__).parents[1] / "scripts" / "reproduce_results.py"
+        spec = importlib.util.spec_from_file_location("reproduce_results", script)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert module.run(first) == 0
+        assert module.run(second) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert len(names) == 20
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name

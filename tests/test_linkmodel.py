@@ -165,6 +165,28 @@ class TestCapacityBounds:
         ub = capacity_upper_bound(rx, lc_band, POWER_W)
         assert lb == pytest.approx(ub, rel=1e-9)
 
+    def test_lower_bound_is_flat_snr_integral(self, lc_band):
+        # p_t * (alpha/beta) / B equals snr0 * psi, the zero-temperature SNR
+        # times the Johnson-noise degradation factor, written out here
+        grid = build_grid(lc_band, LC_MODEL, 512, 6)
+        for rl in (5e4, 5e6):
+            rx = make_receiver(rl)
+            s = eval_reactances(LC_MODEL, grid.nodes)
+            den = QA * (s.num_r**2 + rl**2 * s.denom**2)
+            psi = den / (den + 2 * 100.0**2 * KB * 300.0 * rl * s.num_r**2)
+            snr0 = POWER_W * 100.0**2 * rl / (2 * lc_band.bandwidth * QA)
+            expected = np.sum(grid.weights * np.log2(1 + snr0 * psi)) / (2 * math.pi)
+            lb = capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid)
+            assert lb == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("base_points", [16, 40])
+    def test_coarse_grid_refused(self, lc_band, base_points):
+        # the every-other-node check runs on every grid, the smallest included
+        grid = build_grid(lc_band, LC_MODEL, base_points, 0)
+        for rl in (5e4, 5e6):
+            with pytest.raises(ValueError, match="too coarse"):
+                capacity_lower_bound(LC_MODEL, make_receiver(rl), lc_band, POWER_W, grid)
+
     def test_lower_below_upper(self, lc_band):
         for rl in (5e4, 5e5, 5e6):
             rx = make_receiver(rl)
