@@ -1,8 +1,11 @@
 """Command-line front end emitting CSV/JSON artifacts for the link analyses.
 
-Subcommands: transfer, ratio, waterfill, sweep, table1, verify.  Numeric CSV
-fields are written with 17 significant digits so the files double as
-regression fixtures; output files are written atomically (temp + rename).
+Each artifact command is one `_COMMANDS` entry whose function returns its
+files as (path, text) pairs.  `main` loads the config, applies the flag
+overrides, builds the grid, runs the command and only then writes the files
+atomically (temp + rename), so a refused input writes none.  `verify` takes
+no flags.  CSV numbers carry 17 significant digits, so the files double as
+regression fixtures.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .channels import (
 )
 from .config import ConfigError, RunConfig, default_config, load_config
 from .linkmodel import (
+    ReceiverParams,
     capacity_lower_bound,
     capacity_upper_bound,
     ratio_alpha_beta,
     transfer_magnitude,
 )
-from .waterfill import build_grid, solve_for_power, sweep
+from .waterfill import FrequencyGrid, build_grid, solve_for_power, sweep
 
 __all__ = ["main"]
 
@@ -51,7 +55,7 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]):
+def _csv(header: list[str], columns: list[np.ndarray]) -> str:
     for name, col in zip(header, columns):
         vals = np.asarray(col, dtype=float)
         if not np.all(np.isfinite(vals)):
@@ -59,94 +63,87 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]):
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_FMT % v for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _per_rl_path(out: str, rl: float) -> str:
-    stem, ext = os.path.splitext(out)
-    return f"{stem}_rl{rl:g}{ext or '.csv'}"
-
-
-# per-R_L curve commands: CSV header and columns(model, rx, nodes)
-_CURVES = {
-    "transfer": (["omega_rad_s", "freq_ghz", "transfer_ohm"],
-                 lambda model, rx, nodes: [nodes, nodes / (2 * math.pi * 1e9),
-                                           transfer_magnitude(model, rx, nodes)]),
-    "ratio": (["omega_rad_s", "ratio"],
-              lambda model, rx, nodes: [nodes, ratio_alpha_beta(model, rx, nodes)]),
-}
-
-
-def cmd_curve(command: str, config: RunConfig, out_path: str) -> list[str]:
-    """One CSV per load resistance of a `_CURVES` command's curve over the grid."""
+def _receivers(config: RunConfig) -> list[tuple[float, ReceiverParams]]:
+    """Every (R_L, receiver) pair of the configured load resistances."""
     if not config.load_resistances:
         raise ConfigError("analysis.load_resistances_ohm must be nonempty")
-    header, columns = _CURVES[command]
-    grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
-    written = []
-    for rl in config.load_resistances:
-        rx = replace(config.receiver, load_resistance=rl)
-        path = _per_rl_path(out_path, rl)
-        _write_csv(path, header, columns(config.channel, rx, grid.nodes))
-        written.append(path)
-    return written
+    return [(rl, replace(config.receiver, load_resistance=rl)) for rl in config.load_resistances]
 
 
-def cmd_waterfill(config: RunConfig, out_path: str) -> tuple[str, str]:
+def _curve(header: list[str], columns):
+    """A command giving one CSV per load resistance of columns(model, rx, nodes)."""
+    def fn(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
+        stem, ext = os.path.splitext(out)
+        return [(f"{stem}_rl{rl:g}{ext or '.csv'}",
+                 _csv(header, columns(config.channel, rx, grid.nodes)))
+                for rl, rx in _receivers(config)]
+    return fn
+
+
+def cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Optimal transmit spectral density at the configured power budget."""
-    grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
     sol = solve_for_power(config.channel, config.receiver, grid, config.power_w)
-    _write_csv(out_path, ["omega_rad_s", "s_it_A2_per_Hz", "in_support"],
-               [grid.nodes, sol.s_it, sol.support_mask.astype(float)])
     summary = {
         "mu": sol.mu,
         "power_W": sol.power,
         "capacity_bps": sol.capacity,
         "spectral_efficiency": sol.capacity / config.band.bandwidth,
     }
-    json_path = os.path.splitext(out_path)[0] + "_summary.json"
-    _atomic_write(json_path, json.dumps(summary, indent=2) + "\n")
-    return out_path, json_path
+    return [(out, _csv(["omega_rad_s", "s_it_A2_per_Hz", "in_support"],
+                       [grid.nodes, sol.s_it, sol.support_mask.astype(float)])),
+            (os.path.splitext(out)[0] + "_summary.json", json.dumps(summary, indent=2) + "\n")]
 
 
-def cmd_sweep(config: RunConfig, out_path: str) -> str:
+def cmd_sweep(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Capacity-vs-power cross-plot, terminated at the full-support point."""
-    grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
     result = sweep(config.channel, config.receiver, grid, config.mu_list or None)
     mu_full = result.termination.mu
     rows = [p for p in result.points if p.mu > mu_full]
     rows.append(result.termination)
     b = config.band.bandwidth
-    _write_csv(out_path,
-               ["mu", "power_W", "capacity_bps", "spectral_eff", "full_support"],
-               [np.array([p.mu for p in rows]),
-                np.array([p.power for p in rows]),
-                np.array([p.capacity for p in rows]),
-                np.array([p.capacity / b for p in rows]),
-                np.array([float(np.all(p.support_mask)) for p in rows])])
-    return out_path
+    return [(out, _csv(["mu", "power_W", "capacity_bps", "spectral_eff", "full_support"],
+                       [np.array([p.mu for p in rows]),
+                        np.array([p.power for p in rows]),
+                        np.array([p.capacity for p in rows]),
+                        np.array([p.capacity / b for p in rows]),
+                        np.array([float(np.all(p.support_mask)) for p in rows])]))]
 
 
-def cmd_table1(out_path: str, base_points: int = 512, refine_levels: int = 6) -> str:
-    """Spectral efficiency and bounds for the reference LC configuration."""
-    config = default_config()
-    grid_model = config.channel
-    band = config.band
-    p_t = config.power_w
+def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
+    """Spectral efficiency and its bounds per load resistance of the configured setup."""
+    model, band, p_t = config.channel, config.band, config.power_w
     b = band.bandwidth
-    grid = build_grid(band, grid_model, base_points, refine_levels)
     rows = []
-    for rl in config.load_resistances:
-        rx = replace(config.receiver, load_resistance=rl)
-        lower = capacity_lower_bound(grid_model, rx, band, p_t, grid) / b
+    for rl, rx in _receivers(config):
+        lower = capacity_lower_bound(model, rx, band, p_t, grid) / b
         upper = capacity_upper_bound(rx, band, p_t) / b
-        se = solve_for_power(grid_model, rx, grid, p_t).capacity / b
+        se = solve_for_power(model, rx, grid, p_t).capacity / b
         rows.append((rl, lower, se, upper))
-    _write_csv(out_path,
-               ["load_resistance_ohm", "lower_bound_bs_hz", "spectral_efficiency_bs_hz",
-                "upper_bound_bs_hz"],
-               np.array(rows).T)
-    return out_path
+    return [(out, _csv(["load_resistance_ohm", "lower_bound_bs_hz", "spectral_efficiency_bs_hz",
+                        "upper_bound_bs_hz"],
+                       np.array(rows).T))]
+
+
+# name -> (help, its one extra flag as (flag, type, help) or None, fn(config, grid, out))
+_COMMANDS = {
+    "transfer": ("transfer magnitude vs frequency per load resistance",
+                 ("--rl", str, "comma-separated load resistances (ohm) override"),
+                 _curve(["omega_rad_s", "freq_ghz", "transfer_ohm"],
+                        lambda model, rx, nodes: [nodes, nodes / (2 * math.pi * 1e9),
+                                                  transfer_magnitude(model, rx, nodes)])),
+    "ratio": ("alpha/beta ratio vs frequency per load resistance",
+              ("--rl", str, "comma-separated load resistances (ohm) override"),
+              _curve(["omega_rad_s", "ratio"],
+                     lambda model, rx, nodes: [nodes, ratio_alpha_beta(model, rx, nodes)])),
+    "waterfill": ("optimal transmit spectral density at a power budget",
+                  ("--power", float, "transmit power budget (W) override"), cmd_waterfill),
+    "sweep": ("capacity vs power cross-plot over a multiplier range",
+              ("--mu", str, "comma-separated descending Lagrange multipliers"), cmd_sweep),
+    "table1": ("spectral efficiencies and bounds per load resistance", None, cmd_table1),
+}
 
 
 def _verify_checks():
@@ -220,32 +217,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Capacity analysis of links through lossless two-port networks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_out=True):
+    for name, (text, extra, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config path (defaults to built-in LC setup)")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output CSV path")
+        p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument("--grid-points", type=int, help="override grid base points")
         p.add_argument("--refine", type=int, help="override pole refinement levels")
-
-    for name, what in (("transfer", "transfer magnitude"), ("ratio", "alpha/beta ratio")):
-        p = sub.add_parser(name, help=f"{what} vs frequency per load resistance")
-        common(p)
-        p.add_argument("--rl", help="comma-separated load resistances (ohm) override")
-
-    p = sub.add_parser("waterfill", help="optimal transmit spectral density at a power budget")
-    common(p)
-    p.add_argument("--power", type=float, help="transmit power budget (W) override")
-
-    p = sub.add_parser("sweep", help="capacity vs power cross-plot over a multiplier range")
-    common(p)
-    p.add_argument("--mu", help="comma-separated descending Lagrange multipliers")
-
-    p = sub.add_parser("table1", help="reference LC spectral efficiencies and bounds")
-    common(p)
-
-    p = sub.add_parser("verify", help="run the physics oracle checks")
-    common(p, needs_out=False)
+        if extra:
+            p.add_argument(extra[0], type=extra[1], help=extra[2])
+    sub.add_parser("verify", help="run the physics oracle checks")
     return parser
 
 
@@ -257,9 +237,9 @@ def _float_list(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "grid_points", None) is not None:
+    if args.grid_points is not None:
         config = replace(config, base_points=args.grid_points)
-    if getattr(args, "refine", None) is not None:
+    if args.refine is not None:
         config = replace(config, refine_levels=args.refine)
     if getattr(args, "rl", None) is not None:
         config = replace(config, load_resistances=_float_list(args.rl, "--rl"))
@@ -272,22 +252,19 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "verify":
+        return cmd_verify()
     try:
         config = load_config(args.config) if args.config else default_config()
         config = _apply_overrides(config, args)
-        if args.command in _CURVES:
-            for path in cmd_curve(args.command, config, args.out):
-                print(path)
-        elif args.command == "waterfill":
-            csv_path, json_path = cmd_waterfill(config, args.out)
-            print(csv_path)
-            print(json_path)
-        elif args.command == "sweep":
-            print(cmd_sweep(config, args.out))
-        elif args.command == "table1":
-            print(cmd_table1(args.out, config.base_points, config.refine_levels))
-        elif args.command == "verify":
-            return cmd_verify()
+        grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
+        files = _COMMANDS[args.command][2](config, grid, args.out)
+        paths = [path for path, _ in files]
+        if len(set(paths)) < len(paths):
+            raise ConfigError(f"output files would overwrite each other: {paths}")
+        for path, text in files:
+            _atomic_write(path, text)
+            print(path)
     except ValueError as exc:  # ConfigError, or a value a solver refuses
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -79,6 +79,8 @@ class RunConfig:
 
 def _take(section: dict, where: str, keys: dict):
     """Pull known keys from a config section, rejecting anything else."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{where}' must be a JSON object")
     unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in '{where}': {sorted(unknown)}")
@@ -104,7 +106,7 @@ def _parse_channel(section: dict) -> ChannelModel:
     vals = _take(section, "channel", dict.fromkeys(("kind",) + cls.keys, True))
     try:
         return cls(*(vals[k] for k in cls.keys))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
 
 
@@ -112,17 +114,15 @@ def _parse_band(section: dict) -> Band:
     vals = _take(section, "band", {"carrier_hz": False, "carrier_rad_s": False, "bandwidth_hz": True})
     if ("carrier_hz" in vals) == ("carrier_rad_s" in vals):
         raise ConfigError("band needs exactly one of 'carrier_hz' or 'carrier_rad_s'")
-    carrier = vals.get("carrier_rad_s", 2 * math.pi * vals.get("carrier_hz", 0.0))
     try:
+        carrier = vals.get("carrier_rad_s", 2 * math.pi * vals.get("carrier_hz", 0.0))
         return Band(carrier, vals["bandwidth_hz"])
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid band: {exc}") from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     top = _take(doc, "config", {"channel": True, "receiver": True, "band": True,
                                 "grid": False, "analysis": False})
     channel = _parse_channel(top["channel"])
@@ -130,20 +130,23 @@ def parse_config(doc: dict) -> RunConfig:
     rv = {"boltzmann_j_per_k": BOLTZMANN_DEFAULT, **_take(top["receiver"], "receiver", required)}
     try:
         receiver = ReceiverParams(*(rv[key] for key in _RECEIVER_KEYS))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid receiver: {exc}") from exc
     band = _parse_band(top["band"])
     gv, av = _defaulted(top, "grid"), _defaulted(top, "analysis")
-    return RunConfig(
-        channel=channel,
-        receiver=receiver,
-        band=band,
-        base_points=int(gv["base_points"]),
-        refine_levels=int(gv["refine_levels"]),
-        load_resistances=tuple(av["load_resistances_ohm"]),
-        power_w=float(av["power_w"]),
-        mu_list=tuple(av["mu_list"]),
-    )
+    try:
+        return RunConfig(
+            channel=channel,
+            receiver=receiver,
+            band=band,
+            base_points=int(gv["base_points"]),
+            refine_levels=int(gv["refine_levels"]),
+            load_resistances=tuple(map(float, av["load_resistances_ohm"])),
+            power_w=float(av["power_w"]),
+            mu_list=tuple(map(float, av["mu_list"])),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid grid or analysis value: {exc}") from exc
 
 
 def serialize_config(config: RunConfig) -> dict:

@@ -9,7 +9,7 @@ import pytest
 
 from rclink import TLineOpenEnds, default_config, parse_config, serialize_config
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
-from rclink.cli import main
+from rclink.cli import _COMMANDS, main
 from rclink.config import DEFAULT_TLINE_CHANNEL, ConfigError
 
 from conftest import LC_MODEL, TLINE_MODEL
@@ -235,21 +235,26 @@ class TestTable1Command:
 
     def test_boltzmann_sensitivity(self, tmp_path):
         # switching to the SI-exact constant moves the SEs by well under 0.5%
-        from rclink.cli import cmd_table1
-        from rclink import config as config_mod
-
+        path = write_config(tmp_path, {"receiver.boltzmann_j_per_k": 1.380649e-23})
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        cmd_table1(str(out1))
-        original = config_mod.DEFAULT_CONFIG["receiver"]["boltzmann_j_per_k"]
-        try:
-            config_mod.DEFAULT_CONFIG["receiver"]["boltzmann_j_per_k"] = 1.380649e-23
-            cmd_table1(str(out2))
-        finally:
-            config_mod.DEFAULT_CONFIG["receiver"]["boltzmann_j_per_k"] = original
+        assert main(["table1", "--out", str(out1)]) == 0
+        assert main(["table1", "--config", str(path), "--out", str(out2)]) == 0
         _, a = read_csv(out1)
         _, b = read_csv(out2)
         np.testing.assert_allclose(b[:, 2], a[:, 2], rtol=5e-3)
         assert np.any(a[:, 2] != b[:, 2])
+
+    def test_reads_the_configured_channel(self, tmp_path):
+        path = write_config(tmp_path, {"channel": dict(DEFAULT_TLINE_CHANNEL),
+                                       "band": {"carrier_hz": 3.0e9, "bandwidth_hz": 1.0e7}})
+        lc, line = tmp_path / "lc.csv", tmp_path / "line.csv"
+        assert main(["table1", "--out", str(lc)]) == 0
+        assert main(["table1", "--config", str(path), "--out", str(line)]) == 0
+        _, a = read_csv(lc)
+        _, b = read_csv(line)
+        assert np.all(a[:, 1:3] != b[:, 1:3])
+        _, lower, se, upper = b.T
+        assert np.all((lower < se) & (se < upper))
 
 
 class TestVerifyCommand:
@@ -258,6 +263,11 @@ class TestVerifyCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_takes_no_flags(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid-points", "3"])
+        assert exc.value.code == 2
 
 
 class TestErrorHandling:
@@ -284,6 +294,8 @@ class TestErrorHandling:
         "grid-points-8": ["waterfill", "--grid-points", "8"],
         "refine-negative": ["waterfill", "--refine", "-1"],
         "rl-negative": ["transfer", "--rl", "-5"],
+        "rl-second-negative": ["transfer", "--rl", "5e4,-5"],
+        "rl-same-file-name": ["ratio", "--rl", "123456.7,123456.8"],
         "mu-ascending": ["sweep", "--mu", "1,2"],
         "config-base-points-8": ["transfer", "--config", "CONFIG"],
         "table1-16-nodes": ["table1", "--grid-points", "16", "--refine", "0"],
@@ -299,6 +311,33 @@ class TestErrorHandling:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [config]
+
+    WRONG_TYPES = {
+        "channel.inductance_h": "abc",
+        "receiver.amp_gain": None,
+        "band.bandwidth_hz": "1e7",
+        "analysis.load_resistances_ohm": 5e4,
+        "grid.base_points": None,
+        "analysis.mu_list": 5,
+        "receiver": 5,
+    }
+
+    @pytest.mark.parametrize("key", WRONG_TYPES)
+    def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys, key):
+        config = write_config(tmp_path, {key: self.WRONG_TYPES[key]})
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [config]
+
+
+class TestReadme:
+    def test_cli_table_lists_every_command(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+        listed = [line.split("`")[1] for line in cli_section.splitlines()
+                  if line.startswith("| `")]
+        assert sorted(listed) == sorted([*_COMMANDS, "verify"])
 
 
 class TestReproduceScript:
