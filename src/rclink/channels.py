@@ -48,7 +48,6 @@ class ReactanceSample:
     num_r: np.ndarray | float  # ohm
     num_rt: np.ndarray | float  # ohm
     denom: np.ndarray | float  # dimensionless
-    omega: np.ndarray | float  # rad/s
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class LcParallel:
     def reactances(self, omega) -> ReactanceSample:
         num = omega * self.inductance
         denom = 1.0 - self.inductance * self.capacitance * omega**2
-        return ReactanceSample(num, num, num, denom, omega)
+        return ReactanceSample(num, num, num, denom)
 
     def poles(self, lo: float, hi: float) -> np.ndarray:
         w0 = self.resonance
@@ -118,7 +117,7 @@ class TLineOpenEnds(_Line):
         denom = np.sin(kl)
         num_diag = -z0 * np.cos(kl)
         num_off = -z0 * np.ones_like(denom) if np.ndim(kl) else -z0
-        return ReactanceSample(num_diag, num_diag, num_off, denom, omega)
+        return ReactanceSample(num_diag, num_diag, num_off, denom)
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ class TLineShortedTapped(_Line):
             num_rt = 0.5 * z0 * (
                 np.cos(k * (length - (xr + xt))) - np.cos(k * (length - abs(xt - xr)))
             )
-        return ReactanceSample(num_t, num_r, num_rt, denom, omega)
+        return ReactanceSample(num_t, num_r, num_rt, denom)
 
 
 ChannelModel = Union[LcParallel, TLineOpenEnds, TLineShortedTapped]

@@ -100,9 +100,7 @@ def cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tupl
 def cmd_sweep(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Capacity-vs-power cross-plot, terminated at the full-support point."""
     result = sweep(config.channel, config.receiver, grid, config.mu_list or None)
-    mu_full = result.termination.mu
-    rows = [p for p in result.points if p.mu > mu_full]
-    rows.append(result.termination)
+    rows = result.points + [result.termination]
     b = config.band.bandwidth
     return [(out, _csv(["mu", "power_W", "capacity_bps", "spectral_eff", "full_support"],
                        [np.array([p.mu for p in rows]),

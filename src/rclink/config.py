@@ -4,13 +4,16 @@ Frequencies in the file carry explicit unit suffixes (`_hz` or `_rad_s`) and
 are converted to rad/s internally.  Unknown keys are rejected so typos fail
 loudly instead of silently falling back to defaults.  Channel sections map
 through `channels.CHANNEL_KINDS`; missing `grid` and `analysis` keys are
-filled from `DEFAULT_CONFIG`, the one place defaults are written.
+filled from `DEFAULT_CONFIG`, the one place defaults are written.  Every
+numeric value goes through `_number`: a finite JSON int or float, never a
+bool or a string, and an integer for the `grid` values.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 from .channels import CHANNEL_KINDS, ChannelModel
@@ -93,6 +96,23 @@ def _take(section: dict, where: str, keys: dict):
     return out
 
 
+def _number(value, where: str, integer: bool = False):
+    """`value` if it is a finite JSON number (an integer if asked): not a bool or a string."""
+    kind = "an integer" if integer else "a finite number"
+    # the range test also refuses NaN, Infinity and integers beyond any float
+    if (isinstance(value, bool) or not isinstance(value, int if integer else (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max):
+        raise ConfigError(f"'{where}' must be {kind}, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    """A JSON list of numbers, each through `_number`, as floats."""
+    if not isinstance(value, list):
+        raise ConfigError(f"'{where}' must be a list of numbers, got {value!r}")
+    return tuple(float(_number(v, where)) for v in value)
+
+
 def _defaulted(top: dict, name: str) -> dict:
     """An optional section's keys, each missing one taken from DEFAULT_CONFIG."""
     defaults = DEFAULT_CONFIG[name]
@@ -104,9 +124,10 @@ def _parse_channel(section: dict) -> ChannelModel:
     if cls is None:
         raise ConfigError(f"unknown channel kind: {section.get('kind')!r}")
     vals = _take(section, "channel", dict.fromkeys(("kind",) + cls.keys, True))
+    args = [_number(vals[k], f"channel.{k}") for k in cls.keys]
     try:
-        return cls(*(vals[k] for k in cls.keys))
-    except (TypeError, ValueError) as exc:
+        return cls(*args)
+    except ValueError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from exc
 
 
@@ -114,10 +135,11 @@ def _parse_band(section: dict) -> Band:
     vals = _take(section, "band", {"carrier_hz": False, "carrier_rad_s": False, "bandwidth_hz": True})
     if ("carrier_hz" in vals) == ("carrier_rad_s" in vals):
         raise ConfigError("band needs exactly one of 'carrier_hz' or 'carrier_rad_s'")
+    vals = {key: _number(val, f"band.{key}") for key, val in vals.items()}
     try:
         carrier = vals.get("carrier_rad_s", 2 * math.pi * vals.get("carrier_hz", 0.0))
         return Band(carrier, vals["bandwidth_hz"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid band: {exc}") from exc
 
 
@@ -128,25 +150,23 @@ def parse_config(doc: dict) -> RunConfig:
     channel = _parse_channel(top["channel"])
     required = {key: key != "boltzmann_j_per_k" for key in _RECEIVER_KEYS}
     rv = {"boltzmann_j_per_k": BOLTZMANN_DEFAULT, **_take(top["receiver"], "receiver", required)}
+    args = [_number(rv[key], f"receiver.{key}") for key in _RECEIVER_KEYS]
     try:
-        receiver = ReceiverParams(*(rv[key] for key in _RECEIVER_KEYS))
-    except (TypeError, ValueError) as exc:
+        receiver = ReceiverParams(*args)
+    except ValueError as exc:
         raise ConfigError(f"invalid receiver: {exc}") from exc
     band = _parse_band(top["band"])
     gv, av = _defaulted(top, "grid"), _defaulted(top, "analysis")
-    try:
-        return RunConfig(
-            channel=channel,
-            receiver=receiver,
-            band=band,
-            base_points=int(gv["base_points"]),
-            refine_levels=int(gv["refine_levels"]),
-            load_resistances=tuple(map(float, av["load_resistances_ohm"])),
-            power_w=float(av["power_w"]),
-            mu_list=tuple(map(float, av["mu_list"])),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid or analysis value: {exc}") from exc
+    return RunConfig(
+        channel=channel,
+        receiver=receiver,
+        band=band,
+        base_points=_number(gv["base_points"], "grid.base_points", True),
+        refine_levels=_number(gv["refine_levels"], "grid.refine_levels", True),
+        load_resistances=_numbers(av["load_resistances_ohm"], "analysis.load_resistances_ohm"),
+        power_w=float(_number(av["power_w"], "analysis.power_w")),
+        mu_list=_numbers(av["mu_list"], "analysis.mu_list"),
+    )
 
 
 def serialize_config(config: RunConfig) -> dict:

@@ -5,8 +5,9 @@ terminated in a load resistor whose voltage is read by an infinite-impedance
 amplifier.  Noise enters as Johnson noise of the resistor (density
 2*k_B*T*R_L) and white amplifier noise (density Q_A).  All per-frequency
 functionals are computed from the rational reactance representation so they
-stay finite on the channel poles; they share one noise-term helper, and the
-module holds the one trapezoid rule, also used by `waterfill`.
+stay finite on the channel poles.  alpha, beta and alpha/beta are read from
+one per-node profile, which also marks where the channel couples; the module
+holds the one trapezoid rule, also used by `waterfill`.
 """
 
 from __future__ import annotations
@@ -113,19 +114,38 @@ def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
     return rx.load_resistance * np.abs(s.num_rt) / np.sqrt(load)
 
 
+class _Profile(NamedTuple):
+    """alpha, beta and alpha/beta at every node, and where the channel couples."""
+
+    alpha: np.ndarray | float
+    beta: np.ndarray | float
+    ratio: np.ndarray | float
+    coupled: np.ndarray | bool  # False where the mutual reactance vanishes
+
+
+def _profile(model, rx: ReceiverParams, omega) -> _Profile:
+    """One reactance sample and one noise pass, each term dropped once read."""
+    s = _sample(model, omega)
+    load, den = _noise(s, rx)
+    coupled, rt2 = s.num_rt != 0, s.num_rt**2
+    del s
+    den += rx.amp_noise_density * load  # Johnson plus amplifier noise
+    b = 2 * rx.load_resistance * rt2 / load
+    # multiplied-out arrangement: no cancellation off-pole, finite on poles
+    r = (rx.amp_gain**2 * rx.load_resistance / 2) * load / den
+    del load
+    a = rx.amp_gain**2 * rt2 * rx.load_resistance**2 / den
+    return _Profile(a, b, r, coupled)
+
+
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s)."""
-    s = _sample(model, omega)
-    load, johnson = _noise(s, rx)
-    num = rx.amp_gain**2 * s.num_rt**2 * rx.load_resistance**2
-    return num / (johnson + rx.amp_noise_density * load)
+    return _profile(model, rx, omega).alpha
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
     """Transmit power per unit transmit-current spectral density, ohms."""
-    s = _sample(model, omega)
-    load, _ = _noise(s, rx)
-    return 2 * rx.load_resistance * s.num_rt**2 / load
+    return _profile(model, rx, omega).beta
 
 
 def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -135,11 +155,7 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
     (by continuity) even where Z_RT'' = 0 and alpha/beta itself is 0/0.
     Every channel pole is a local minimum of this quantity.
     """
-    s = _sample(model, omega)
-    load, johnson = _noise(s, rx)
-    # multiplied-out arrangement: no cancellation off-pole, finite on poles
-    den = johnson + rx.amp_noise_density * load
-    return (rx.amp_gain**2 * rx.load_resistance / 2) * load / den
+    return _profile(model, rx, omega).ratio
 
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
@@ -179,17 +195,19 @@ def capacity_lower_bound(
 ) -> float:
     """Capacity of the flat-SNR (zero-temperature-optimal) transmit density.
 
-    Integrates log2[1 + p_t * (alpha/beta)(omega) / B] over the band with the
-    quadrature nodes/weights of `grid` (see waterfill.build_grid).  With T=0
-    this reduces exactly to the upper bound.  Raises ValueError when the grid
-    is too coarse: every other node moves the result by more than 1e-3.
+    Integrates log2[1 + p_t * (alpha/beta)(omega) / B] over the coupled nodes
+    of `grid` (see waterfill.build_grid); a channel coupling nowhere gives 0.
+    With T=0 this reduces exactly to the upper bound.  Raises ValueError when
+    every other node (the last one included) moves the result by over 1e-3.
     """
     if p_t < 0:
         raise ValueError("p_t must be nonnegative")
     nodes, weights = np.asarray(grid.nodes), np.asarray(grid.weights)
-    vals = np.log2(1 + p_t * ratio_alpha_beta(model, rx, nodes) / band.bandwidth)
+    ratio, coupled = _profile(model, rx, nodes)[2:]
+    vals = np.where(coupled, np.log2(1 + p_t * ratio / band.bandwidth), 0.0)
     result = float(np.sum(weights * vals) / (2 * math.pi))
-    coarse = float(np.sum(_trapezoid_weights(nodes[::2]) * vals[::2]) / (2 * math.pi))
+    half = np.r_[0 : len(nodes) - 1 : 2, len(nodes) - 1]
+    coarse = float(np.sum(_trapezoid_weights(nodes[half]) * vals[half]) / (2 * math.pi))
     if result != 0 and abs(result - coarse) > 1e-3 * abs(result):
         raise ValueError(
             "frequency grid too coarse for the lower-bound integral "

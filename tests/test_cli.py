@@ -256,6 +256,14 @@ class TestTable1Command:
         _, lower, se, upper = b.T
         assert np.all((lower < se) & (se < upper))
 
+    def test_unrefined_grid_accepted(self, tmp_path):
+        # the 512 base nodes alone resolve the lower bound once its
+        # every-other-node check keeps the last node of an even-sized grid
+        out = tmp_path / "t.csv"
+        assert main(["table1", "--refine", "0", "--out", str(out)]) == 0
+        _, lower, se, upper = read_csv(out)[1].T
+        assert np.all((lower < se) & (se < upper))
+
 
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
@@ -312,6 +320,8 @@ class TestErrorHandling:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [config]
 
+    # a number is a finite JSON int or float, never a bool or a string; grid
+    # values are integers.  The id up to any "-" is the config key.
     WRONG_TYPES = {
         "channel.inductance_h": "abc",
         "receiver.amp_gain": None,
@@ -320,11 +330,20 @@ class TestErrorHandling:
         "grid.base_points": None,
         "analysis.mu_list": 5,
         "receiver": 5,
+        "grid.base_points-fraction": 512.9,
+        "grid.refine_levels-bool": True,
+        "analysis.power_w-string": "2.68e-14",
+        "analysis.load_resistances_ohm-string": ["5e4"],
+        "receiver.amp_gain-bool": True,
+        "channel.inductance_h-bool": True,
+        "receiver.temperature_k-nan": math.nan,
+        "analysis.power_w-infinity": math.inf,
+        "band.bandwidth_hz-beyond-float": 10**400,
     }
 
     @pytest.mark.parametrize("key", WRONG_TYPES)
     def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys, key):
-        config = write_config(tmp_path, {key: self.WRONG_TYPES[key]})
+        config = write_config(tmp_path, {key.split("-")[0]: self.WRONG_TYPES[key]})
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1

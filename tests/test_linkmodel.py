@@ -30,7 +30,7 @@ class TestTransferMagnitude:
         assert transfer_magnitude(LC_MODEL, receiver, W0) == pytest.approx(5e4, rel=1e-9)
 
     def test_zero_coupling(self, receiver):
-        s = ReactanceSample(num_t=10.0, num_r=10.0, num_rt=0.0, denom=0.5, omega=1e9)
+        s = ReactanceSample(num_t=10.0, num_r=10.0, num_rt=0.0, denom=0.5)
         assert transfer_magnitude(s, receiver, None) == 0.0
 
     def test_monotone_in_load_resistance(self):
@@ -55,7 +55,7 @@ class TestAlphaBeta:
             ReceiverParams(5e4, 100.0, 0.0, 0.0)
 
     def test_alpha_zero_coupling(self, receiver):
-        s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2, omega=1e9)
+        s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2)
         assert alpha(s, receiver, None) == 0.0
 
     def test_beta_at_pole(self, receiver):
@@ -65,7 +65,7 @@ class TestAlphaBeta:
         assert beta(LC_MODEL, receiver, 1.0e10) == pytest.approx(0.17140, rel=1e-4)
 
     def test_beta_zero_coupling(self, receiver):
-        s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2, omega=1e9)
+        s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2)
         assert beta(s, receiver, None) == 0.0
 
     @given(omega=st.floats(1e8, 1e11), rl=st.floats(1e2, 1e8))
@@ -109,7 +109,7 @@ class TestRatio:
         rx = make_receiver(5e4)
         s = eval_reactances(LC_MODEL, omega)
         scaled = ReactanceSample(
-            s.num_t * scale, s.num_r * scale, s.num_rt * scale, s.denom * scale, omega
+            s.num_t * scale, s.num_r * scale, s.num_rt * scale, s.denom * scale
         )
         for fn in (alpha, beta, ratio_alpha_beta):
             ref = fn(s, rx, None)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from rclink import (
     solve_for_power,
     sweep,
 )
-from rclink.config import DEFAULT_TLINE_CHANNEL
+from rclink.cli import main
+from rclink.config import DEFAULT_TLINE_CHANNEL, default_config, serialize_config
 
 from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
 from oracles import riemann_capacity_power
@@ -264,3 +266,40 @@ class TestRandomShortedLines:
         # the water level is the budget's inverse: power falls through p_t at mu
         assert solve_for_mu(model, rx, grid, sol.mu * (1 + 1e-9)).power < p_t
         assert solve_for_mu(model, rx, grid, sol.mu * (1 - 1e-9)).power > p_t
+        # the sandwich, wherever the grid resolves the lower-bound integral
+        try:
+            lower = capacity_lower_bound(model, rx, tline_band, p_t, grid)
+        except ValueError as exc:
+            assert "too coarse" in str(exc)
+        else:
+            assert lower < sol.capacity < capacity_upper_bound(rx, tline_band, p_t)
+
+
+class TestUncoupledChannel:
+    """A tap on a shorted end: the channel couples nowhere, at any frequency."""
+
+    @pytest.mark.parametrize("tap", ["x_transmit_m", "x_receive_m"])
+    @pytest.mark.parametrize("end", ["start", "end"])
+    def test_refused_by_every_solver(self, tmp_path, capsys, tline_band, tap, end):
+        doc = serialize_config(default_config())
+        doc["channel"] = dict(DEFAULT_TLINE_CHANNEL)
+        doc["channel"][tap] = 0.0 if end == "start" else doc["channel"]["length_m"]
+        doc["band"] = {"carrier_hz": 3.0e9, "bandwidth_hz": 1.0e7}
+        model = TLineShortedTapped(*(doc["channel"][k] for k in TLineShortedTapped.keys))
+        rx = make_receiver(5e4)
+        grid = build_grid(tline_band, model, 512, 6)
+
+        assert capacity_lower_bound(model, rx, tline_band, POWER_W, grid) == 0.0
+        for solve, arg in ((solve_for_mu, 1e15), (solve_for_power, POWER_W), (sweep, None)):
+            with pytest.raises(ValueError, match="no coupling"):
+                solve(model, rx, grid, arg)
+
+        config = tmp_path / "dead.json"
+        config.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for command in ("sweep", "waterfill", "table1"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                "config error: channel has no coupling anywhere in the band\n"
+        assert list(tmp_path.iterdir()) == [config]
