@@ -61,8 +61,8 @@ class LcParallel:
     capacitance: float  # F
 
     def __post_init__(self):
-        if self.inductance <= 0 or self.capacitance <= 0:
-            raise ValueError("inductance and capacitance must be positive")
+        if not (0 < self.inductance < math.inf and 0 < self.capacitance < math.inf):
+            raise ValueError("inductance and capacitance must be positive and finite")
 
     @property
     def resonance(self) -> float:
@@ -88,8 +88,8 @@ class _Line:
     length: float  # m
 
     def __post_init__(self):
-        if self.char_impedance <= 0 or self.wave_speed <= 0 or self.length <= 0:
-            raise ValueError("char_impedance, wave_speed, length must be positive")
+        if not all(0 < v < math.inf for v in (self.char_impedance, self.wave_speed, self.length)):
+            raise ValueError("char_impedance, wave_speed, length must be positive and finite")
 
     def poles(self, lo: float, hi: float) -> np.ndarray:
         step = math.pi * self.wave_speed / self.length
@@ -143,20 +143,14 @@ class TLineShortedTapped(_Line):
         k = omega / self.wave_speed
         z0, length = self.char_impedance, self.length
         xt, xr = self.x_transmit, self.x_receive
-        denom = np.sin(k * length)
-        cos_kl = np.cos(k * length)
-        num_t = 0.5 * z0 * (np.cos(k * (length - 2 * xt)) - cos_kl)
-        num_r = 0.5 * z0 * (np.cos(k * (length - 2 * xr)) - cos_kl)
-        # a tap on a shorted end kills the coupling identically; make that a
-        # structural zero rather than trusting cancellation of two cosines.
-        # The sum grouping keeps the entry bit-exact under swapping the taps.
-        if xt in (0.0, length) or xr in (0.0, length):
-            num_rt = np.zeros_like(denom) if np.ndim(denom) else 0.0
-        else:
-            num_rt = 0.5 * z0 * (
-                np.cos(k * (length - (xr + xt))) - np.cos(k * (length - abs(xt - xr)))
-            )
-        return ReactanceSample(num_t, num_r, num_rt, denom)
+
+        # product form z0 sin(k a) sin(k (L - b)) for taps a <= b: exactly 0 for
+        # a tap on a shorted end, and exactly symmetric in the two taps
+        def num(a, b):
+            return z0 * np.sin(k * a) * np.sin(k * (length - b))
+
+        return ReactanceSample(num(xt, xt), num(xr, xr), num(min(xt, xr), max(xt, xr)),
+                               np.sin(k * length))
 
 
 ChannelModel = Union[LcParallel, TLineOpenEnds, TLineShortedTapped]

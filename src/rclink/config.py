@@ -5,8 +5,9 @@ are converted to rad/s internally.  Unknown keys are rejected so typos fail
 loudly instead of silently falling back to defaults.  Channel sections map
 through `channels.CHANNEL_KINDS`; missing `grid` and `analysis` keys are
 filled from `DEFAULT_CONFIG`, the one place defaults are written.  Every
-numeric value goes through `_number`: a finite JSON int or float, never a
-bool or a string, and an integer for the `grid` values.
+numeric value, from a file or a command-line flag, goes through `_number`: a
+finite JSON int or float, never a bool or a string, and an integer for the
+`grid` values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from dataclasses import astuple, dataclass
 from .channels import CHANNEL_KINDS, ChannelModel
 from .linkmodel import BOLTZMANN_DEFAULT, Band, ReceiverParams
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config", "default_config"]
+__all__ = ["RunConfig", "ConfigError", "load_document", "parse_config", "serialize_config",
+           "default_config"]
 
 # reference defaults: ~3 GHz carrier, 10 MHz band, 300 K, 40 dB gain,
 # amplifier noise referenced to 50 ohm with 9 dB excess.  The carrier sits
@@ -87,13 +89,10 @@ def _take(section: dict, where: str, keys: dict):
     unknown = set(section) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in '{where}': {sorted(unknown)}")
-    out = {}
-    for key, required in keys.items():
-        if key in section:
-            out[key] = section[key]
-        elif required:
-            raise ConfigError(f"missing required key '{key}' in '{where}'")
-    return out
+    missing = [key for key, required in keys.items() if required and key not in section]
+    if missing:
+        raise ConfigError(f"missing required key '{missing[0]}' in '{where}'")
+    return {key: section[key] for key in keys if key in section}
 
 
 def _number(value, where: str, integer: bool = False):
@@ -185,16 +184,22 @@ def serialize_config(config: RunConfig) -> dict:
     }
 
 
-def default_config() -> RunConfig:
-    return parse_config(json.loads(json.dumps(DEFAULT_CONFIG)))
-
-
-def load_config(path) -> RunConfig:
+def load_document(path=None) -> dict:
+    """The JSON document at `path`, or a fresh copy of DEFAULT_CONFIG; not yet checked."""
+    if path is None:
+        return json.loads(json.dumps(DEFAULT_CONFIG))
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON in {path} (line {exc.lineno}): {exc.msg}") from exc
-    return parse_config(doc)
+
+
+def default_config() -> RunConfig:
+    return parse_config(load_document())
+
+
+def load_config(path) -> RunConfig:
+    return parse_config(load_document(path))

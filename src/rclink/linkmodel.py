@@ -49,12 +49,14 @@ class ReceiverParams:
     boltzmann: float = BOLTZMANN_DEFAULT  # J/K
 
     def __post_init__(self):
-        if self.load_resistance <= 0:
-            raise ValueError("load_resistance must be positive")
-        if self.amp_gain <= 0:
-            raise ValueError("amp_gain must be positive")
-        if self.amp_noise_density < 0 or self.temperature < 0:
-            raise ValueError("noise density and temperature must be nonnegative")
+        if not 0 < self.load_resistance < math.inf:
+            raise ValueError("load_resistance must be positive and finite")
+        if not 0 < self.amp_gain < math.inf:
+            raise ValueError("amp_gain must be positive and finite")
+        if not (0 <= self.amp_noise_density < math.inf and 0 <= self.temperature < math.inf):
+            raise ValueError("noise density and temperature must be nonnegative and finite")
+        if not 0 < self.boltzmann < math.inf:
+            raise ValueError("boltzmann must be positive and finite")
         if self.amp_noise_density == 0 and self.temperature == 0:
             raise ValueError("degenerate noiseless receiver (T=0 and Q_A=0)")
 
@@ -67,10 +69,10 @@ class Band:
     bandwidth: float  # Hz
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.carrier - math.pi * self.bandwidth <= 0:
-            raise ValueError("band must stay in positive frequencies")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        if not 0 < self.lo < self.hi < math.inf:
+            raise ValueError("band must stay in positive finite frequencies")
 
     @property
     def lo(self) -> float:
@@ -171,8 +173,8 @@ def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPs
 
 def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
     """Channel-independent zero-temperature capacity bound, bits/s."""
-    if p_t < 0:
-        raise ValueError("p_t must be nonnegative")
+    if not 0 <= p_t < math.inf:
+        raise ValueError("p_t must be nonnegative and finite")
     b = band.bandwidth
     snr = p_t * rx.amp_gain**2 * rx.load_resistance / (2 * b * rx.amp_noise_density)
     return b * math.log2(1 + snr)
@@ -200,8 +202,8 @@ def capacity_lower_bound(
     With T=0 this reduces exactly to the upper bound.  Raises ValueError when
     every other node (the last one included) moves the result by over 1e-3.
     """
-    if p_t < 0:
-        raise ValueError("p_t must be nonnegative")
+    if not 0 <= p_t < math.inf:
+        raise ValueError("p_t must be nonnegative and finite")
     nodes, weights = np.asarray(grid.nodes), np.asarray(grid.weights)
     ratio, coupled = _profile(model, rx, nodes)[2:]
     vals = np.where(coupled, np.log2(1 + p_t * ratio / band.bandwidth), 0.0)

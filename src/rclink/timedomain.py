@@ -6,7 +6,9 @@ Im(omega) < 0.  Evaluating truncated series at complex frequencies in the
 region of convergence gives an independent check of the closed-form
 impedance expressions without discretizing delta functions.  The LC
 channel, whose impulse response is delta-free, additionally gets a direct
-time-integral check.
+time-integral check.  `oracle_checks` runs every comparison at fixed
+geometries and yields one (name, ok, detail) record per check; `rclink
+verify` prints them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from .channels import LcParallel, TLineOpenEnds, TLineShortedTapped
+from .channels import LcParallel, TLineOpenEnds, TLineShortedTapped, eval_reactances
 
 __all__ = [
     "open_line_series_vi",
@@ -25,6 +27,7 @@ __all__ = [
     "shorted_line_closed_v",
     "lc_transfer_from_impulse",
     "lc_transfer_closed",
+    "oracle_checks",
 ]
 
 
@@ -135,3 +138,57 @@ def lc_transfer_closed(model: LcParallel, omega: complex) -> complex:
     """Closed-form LC transfer function i*omega*L / (1 - LC*omega^2)."""
     lc = model.inductance * model.capacitance
     return 1j * omega * model.inductance / (1 - lc * omega**2)
+
+
+def oracle_checks():
+    """Closed-form vs bounce-series oracle checks; yields (name, ok, detail)."""
+    rng = np.random.default_rng(0)
+
+    open_line = TLineOpenEnds(50.0, 3.0e8, 75.0)
+    c0, length = open_line.wave_speed, open_line.length
+    s = complex(0.0, -0.5 * c0 / length)
+    worst = 0.0
+    for _ in range(20):
+        w = complex(rng.uniform(0, 20) * c0 / length, s.imag)
+        x = rng.uniform(0, length)
+        v_s, i_s = open_line_series_vi(open_line, w, x, 64)
+        v_c, i_c = open_line_closed_vi(open_line, w, x)
+        worst = max(worst, abs(v_s - v_c) / abs(v_c), abs(i_s - i_c) / max(abs(i_c), 1e-30))
+    yield "open-line series vs closed form", worst <= 1e-6, f"max rel err {worst:.2e}"
+
+    tapped = TLineShortedTapped(50.0, 3.0e8, 75.0, 75.0 / 7, 8 * 75.0 / 13)
+    s2 = complex(0.0, -1e-3 * c0 / length)
+    worst = 0.0
+    for _ in range(20):
+        w = complex(rng.uniform(0.3, 20) * c0 / length, s2.imag)
+        x = rng.uniform(0.05 * length, 0.95 * length)
+        v_s = shorted_line_series_v(tapped, w, x, 40000)
+        v_c = shorted_line_closed_v(tapped, w, x)
+        worst = max(worst, abs(v_s - v_c) / abs(v_c))
+    yield "shorted-line series vs closed form", worst <= 1e-4, f"max rel err {worst:.2e}"
+
+    worst = 0.0
+    for x in (0.0, length):
+        v_c = shorted_line_closed_v(tapped, complex(7.0 * c0 / length, -0.3), x)
+        worst = max(worst, abs(v_c))
+    yield "shorted-line endpoint voltage null", worst <= 1e-10, f"max |V| {worst:.2e}"
+
+    lc = LcParallel(4.7e-9, 6.0e-13)
+    w0 = lc.resonance
+    worst = 0.0
+    for w in (w0 * complex(1, -0.01), complex(0, -w0)):
+        approx = lc_transfer_from_impulse(lc, w, horizon=25 / abs(w.imag), dt=0.01 / w0)
+        exact = lc_transfer_closed(lc, w)
+        worst = max(worst, abs(approx - exact) / abs(exact))
+    yield "LC impulse-integral vs closed form", worst <= 1e-3, f"max rel err {worst:.2e}"
+
+    # series evaluated near the real axis against the rational reactance form
+    worst = 0.0
+    for _ in range(10):
+        w_re = rng.uniform(0.3, 20) * c0 / length
+        sample = eval_reactances(tapped, w_re)
+        z_rt = sample.num_rt / sample.denom
+        v_c = shorted_line_closed_v(tapped, complex(w_re, -1e-9 * c0 / length),
+                                    tapped.x_receive)
+        worst = max(worst, abs(v_c / 1j - z_rt) / max(abs(z_rt), 1e-12))
+    yield "mutual reactance vs Helmholtz solution", worst <= 1e-4, f"max rel err {worst:.2e}"

@@ -122,8 +122,8 @@ def solve_for_mu(
     model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid, mu: float
 ) -> WaterfillSolution:
     """Water-filling allocation for a given Lagrange multiplier mu > 0."""
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise ValueError("mu must be positive and finite")
     return _solve(_coupled_profile(model, rx, grid), grid, mu)
 
 
@@ -141,8 +141,8 @@ def solve_for_power(
     weight over 2 pi).  The optimum powers the top k for the first k whose
     level excludes node k+1, or the whole band if none does.
     """
-    if p_t <= 0:
-        raise ValueError("p_t must be positive")
+    if not 0 < p_t < math.inf:
+        raise ValueError("p_t must be positive and finite")
     prof = _coupled_profile(model, rx, grid)
     n_coupled = int(np.count_nonzero(prof.coupled))
     # built in place: the profile already holds several arrays of grid size
@@ -193,8 +193,8 @@ def sweep(
     if mu_list is None:
         mu_list = np.geomspace(float(np.max(r_coupled)) * (1 - 1e-9), float(np.min(r_coupled)), 50)
     mu_list = list(mu_list)
-    if any(m <= 0 for m in mu_list):
-        raise ValueError("multipliers must be positive")
+    if not all(0 < m < math.inf for m in mu_list):
+        raise ValueError("multipliers must be positive and finite")
     if any(b >= a for a, b in zip(mu_list, mu_list[1:])):
         raise ValueError("mu_list must be sorted descending")
     points = [_solve(prof, grid, mu) for mu in mu_list if mu > mu_full]

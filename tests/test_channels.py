@@ -136,6 +136,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             TLineShortedTapped(50.0, 3e8, 75.0, 10.0, -1.0)
 
+    # NaN passes every "<= 0" test; each value goes in at one field
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("make", [
+        lambda v: LcParallel(v, 6e-13),
+        lambda v: LcParallel(4.7e-9, v),
+        lambda v: TLineOpenEnds(v, 3e8, 75.0),
+        lambda v: TLineOpenEnds(50.0, v, 75.0),
+        lambda v: TLineOpenEnds(50.0, 3e8, v),
+        lambda v: TLineShortedTapped(50.0, 3e8, v, 10.0, 20.0),
+        lambda v: TLineShortedTapped(50.0, 3e8, 75.0, v, 20.0),
+        lambda v: TLineShortedTapped(50.0, 3e8, 75.0, 10.0, v),
+    ], ids=["lc-l", "lc-c", "open-z0", "open-c0", "open-length", "shorted-length",
+            "shorted-x-transmit", "shorted-x-receive"])
+    def test_non_finite_refused(self, make, bad):
+        with pytest.raises(ValueError):
+            make(bad)
+
     def test_coincident_taps_allowed(self):
         model = TLineShortedTapped(50.0, 3e8, 75.0, 30.0, 30.0)
         s = eval_reactances(model, 1e9)

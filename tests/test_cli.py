@@ -9,8 +9,9 @@ import pytest
 
 from rclink import TLineOpenEnds, default_config, parse_config, serialize_config
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
-from rclink.cli import _COMMANDS, main
-from rclink.config import DEFAULT_TLINE_CHANNEL, ConfigError
+from rclink.cli import _COMMANDS, _FLAGS, main
+from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL, ConfigError
+from rclink.waterfill import build_grid
 
 from conftest import LC_MODEL, TLINE_MODEL
 
@@ -308,6 +309,14 @@ class TestErrorHandling:
         "config-base-points-8": ["transfer", "--config", "CONFIG"],
         "table1-16-nodes": ["table1", "--grid-points", "16", "--refine", "0"],
         "table1-40-nodes": ["table1", "--grid-points", "40", "--refine", "0"],
+        # flags obey the config file's number rule
+        "power-nan": ["waterfill", "--power", "nan"],
+        "power-inf": ["waterfill", "--power", "inf"],
+        "mu-nan": ["sweep", "--mu", "nan"],
+        "rl-nan": ["transfer", "--rl", "nan"],
+        "rl-inf": ["transfer", "--rl", "inf"],
+        "rl-beyond-float": ["transfer", "--rl", "1e400"],
+        "grid-points-fraction": ["waterfill", "--grid-points", "512.9"],
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -348,6 +357,58 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [config]
+
+    # (command, flag, its text, the config key it overrides, that value in a file)
+    SAME_VALUE = {
+        "power-nan": ("waterfill", "--power", "nan", "analysis.power_w", math.nan),
+        "power-infinity": ("waterfill", "--power", "inf", "analysis.power_w", math.inf),
+        "rl-beyond-float": ("transfer", "--rl", "5e4,1e400", "analysis.load_resistances_ohm",
+                            [5e4, math.inf]),
+        "rl-string": ("transfer", "--rl", "5e4,abc", "analysis.load_resistances_ohm",
+                      [5e4, "abc"]),
+        "mu-nan": ("sweep", "--mu", "nan", "analysis.mu_list", [math.nan]),
+        "refine-string": ("waterfill", "--refine", "x", "grid.refine_levels", "x"),
+    }
+
+    @pytest.mark.parametrize("case", SAME_VALUE.values(), ids=SAME_VALUE.keys())
+    def test_flag_and_file_give_the_same_error(self, tmp_path, capsys, case):
+        command, flag, text, key, value = case
+        out = str(tmp_path / "o.csv")
+        assert main([command, flag, text, "--out", out]) == 2
+        from_flag = capsys.readouterr().err
+        config = write_config(tmp_path, {key: value})
+        assert main([command, "--config", str(config), "--out", out]) == 2
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith("config error: ") and from_flag.count("\n") == 1
+
+
+class TestFlagOverrides:
+    def test_every_flag_names_a_default_config_key(self):
+        for flag, (section, key, _) in _FLAGS.items():
+            assert key in DEFAULT_CONFIG[section], flag
+
+    def test_power_flag_wins_over_the_file(self, tmp_path):
+        config = write_config(tmp_path, {"analysis.power_w": 1e-13})
+        out = tmp_path / "wf.csv"
+        assert main(["waterfill", "--config", str(config), "--power", "3e-14",
+                     "--out", str(out)]) == 0
+        summary = json.loads((tmp_path / "wf_summary.json").read_text())
+        assert summary["power_W"] == pytest.approx(3e-14, rel=1e-12)
+
+    def test_grid_flag_creates_the_missing_section(self, tmp_path):
+        doc = serialize_config(default_config())
+        del doc["grid"]
+        config = tmp_path / "nogrid.json"
+        config.write_text(json.dumps(doc))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["ratio", "--config", str(config), "--grid-points", "100", "--rl", "5e4",
+                     "--out", str(a)]) == 0
+        assert main(["ratio", "--grid-points", "100", "--refine", "6", "--rl", "5e4",
+                     "--out", str(b)]) == 0
+        ratio_a = (tmp_path / "a_rl50000.csv").read_bytes()
+        assert ratio_a == (tmp_path / "b_rl50000.csv").read_bytes()
+        assert len(ratio_a.splitlines()) - 1 == len(build_grid(
+            default_config().band, LC_MODEL, 100, 6).nodes)
 
 
 class TestReadme:

@@ -201,3 +201,26 @@ class TestBandValidation:
             Band(1e6, 1e7)
         with pytest.raises(ValueError):
             Band(1e10, -1.0)
+
+
+# NaN passes every "<= 0" test; each value goes in at one argument
+NON_FINITE_ENTRY_POINTS = {
+    "receiver-load": lambda v: ReceiverParams(v, 100.0, QA, 300.0),
+    "receiver-gain": lambda v: ReceiverParams(5e4, v, QA, 300.0),
+    "receiver-noise": lambda v: ReceiverParams(5e4, 100.0, v, 300.0),
+    "receiver-temperature": lambda v: ReceiverParams(5e4, 100.0, QA, v),
+    "receiver-boltzmann": lambda v: ReceiverParams(5e4, 100.0, QA, 300.0, v),
+    "band-carrier": lambda v: Band(v, 1e7),
+    "band-bandwidth": lambda v: Band(W0, v),
+    "upper-bound-power": lambda v: capacity_upper_bound(
+        make_receiver(5e4), Band(W0, 1e7), v),
+    "lower-bound-power": lambda v: capacity_lower_bound(
+        LC_MODEL, make_receiver(5e4), Band(W0, 1e7), v, build_grid(Band(W0, 1e7), LC_MODEL)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", NON_FINITE_ENTRY_POINTS.values(), ids=NON_FINITE_ENTRY_POINTS)
+def test_non_finite_refused(call, bad):
+    with pytest.raises(ValueError, match="finite"):
+        call(bad)

@@ -139,6 +139,20 @@ class TestSolveForMu:
             solve_for_mu(LC_MODEL, receiver, lc_grid, 0.0)
 
 
+# NaN passes every "<= 0" test, and an infinite budget or multiplier has no
+# finite answer
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("solver", [
+    lambda grid, rx, v: solve_for_mu(LC_MODEL, rx, grid, v),
+    lambda grid, rx, v: solve_for_power(LC_MODEL, rx, grid, v),
+    lambda grid, rx, v: sweep(LC_MODEL, rx, grid, [v]),
+    lambda grid, rx, v: sweep(LC_MODEL, rx, grid, [1e30, v]),
+], ids=["solve-for-mu", "solve-for-power", "sweep", "sweep-second"])
+def test_non_finite_refused(lc_grid, receiver, solver, bad):
+    with pytest.raises(ValueError, match="finite"):
+        solver(lc_grid, receiver, bad)
+
+
 class TestSolveForPower:
     def test_reference_spectral_efficiencies(self, lc_band, lc_grid):
         for rl, expected in ((5e4, 0.500), (5e6, 9.70)):
