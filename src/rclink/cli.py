@@ -181,7 +181,7 @@ def _flag_value(text: str, default):
 def _document(args) -> dict:
     """The config document with each given flag's value at its (section, key).  A
     missing section is created; a root or section that is not an object is kept."""
-    doc = load_document(args.config or None)
+    doc = load_document(args.config)  # only an absent --config means the built-in setup
     for flag, (section, key, _) in _FLAGS.items():
         text = vars(args).get(flag[2:].replace("-", "_"))
         part = doc.setdefault(section, {}) if text is not None and isinstance(doc, dict) else None

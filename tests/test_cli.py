@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -278,6 +281,15 @@ class TestVerifyCommand:
             main(["verify", "--grid-points", "3"])
         assert exc.value.code == 2
 
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, "-m", "rclink", "verify"], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert [l[:5] for l in run.stdout.splitlines()] == ["PASS:"] * 5
+
 
 class TestErrorHandling:
     def test_missing_config_file(self, tmp_path):
@@ -317,6 +329,8 @@ class TestErrorHandling:
         "rl-inf": ["transfer", "--rl", "inf"],
         "rl-beyond-float": ["transfer", "--rl", "1e400"],
         "grid-points-fraction": ["waterfill", "--grid-points", "512.9"],
+        # only an absent --config means the built-in setup
+        "config-empty-path": ["waterfill", "--config", ""],
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())

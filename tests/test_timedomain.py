@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from rclink.channels import eval_reactances
 from rclink.timedomain import (
     lc_transfer_closed,
     lc_transfer_from_impulse,
+    oracle_checks,
     open_line_closed_vi,
     open_line_series_vi,
     shorted_line_closed_v,
@@ -19,6 +21,125 @@ from conftest import LC_MODEL, TLINE_MODEL
 
 OPEN_LINE = TLineOpenEnds(50.0, 3.0e8, 75.0)
 C0_OVER_L = OPEN_LINE.wave_speed / OPEN_LINE.length
+
+
+def open_line_loop_vi(model, omega, x, terms):
+    """The open-line bounce series summed one cmath term at a time."""
+    c0, length = model.wave_speed, model.length
+    v = i = 0j
+    for m in range(terms):
+        fwd = cmath.exp(-1j * omega * (x + 2 * length * m) / c0)
+        bwd = cmath.exp(1j * omega * (x - 2 * length * (m + 1)) / c0)
+        v += fwd + bwd
+        i += fwd - bwd
+    return model.char_impedance * v, i
+
+
+def shorted_line_loop_v(model, omega, x, terms):
+    """The shorted-line image series with its round-trip train summed one cmath
+    term at a time."""
+    c0, length, xt = model.wave_speed, model.length, model.x_transmit
+
+    def fwd(a):
+        return cmath.exp(-1j * omega * a / c0)
+
+    def bwd(a):
+        return cmath.exp(1j * omega * a / c0)
+
+    images = (fwd(x - xt + 2 * length) + bwd(x - xt - 2 * length)
+              - fwd(x + xt) - bwd(x + xt - 2 * length))
+    train = 0j
+    for m in range(terms):
+        train += fwd(2 * length * m)
+    return (model.char_impedance / 2) * (fwd(abs(x - xt)) + images * train)
+
+
+class TestAgainstReferenceLoop:
+    @pytest.mark.parametrize("terms", [1, 2, 64, 40000])
+    def test_open_line(self, terms):
+        for re_, x in ((3.7, 0.2), (11.3, 0.65), (19.1, 0.9)):
+            omega = complex(re_ * C0_OVER_L, -0.5 * C0_OVER_L)
+            v, i = open_line_series_vi(OPEN_LINE, omega, x * OPEN_LINE.length, terms)
+            v_ref, i_ref = open_line_loop_vi(OPEN_LINE, omega, x * OPEN_LINE.length, terms)
+            assert abs(v - v_ref) <= 1e-9 * abs(v_ref)
+            assert abs(i - i_ref) <= 1e-9 * abs(i_ref)
+
+    @pytest.mark.parametrize("terms", [1, 2, 64, 40000])
+    def test_shorted_line(self, terms):
+        for re_, x in ((0.7, 0.1), (6.4, 0.55), (19.7, 0.93)):
+            omega = complex(re_ * C0_OVER_L, -1e-3 * C0_OVER_L)
+            v = shorted_line_series_v(TLINE_MODEL, omega, x * TLINE_MODEL.length, terms)
+            v_ref = shorted_line_loop_v(TLINE_MODEL, omega, x * TLINE_MODEL.length, terms)
+            assert abs(v - v_ref) <= 1e-9 * abs(v_ref)
+
+    def test_numpy_integer_terms(self):
+        omega = complex(3.7 * C0_OVER_L, -0.5 * C0_OVER_L)
+        assert (open_line_series_vi(OPEN_LINE, omega, 1.0, np.int64(8))
+                == open_line_series_vi(OPEN_LINE, omega, 1.0, 8))
+
+
+W_OK = complex(3.7 * C0_OVER_L, -0.5 * C0_OVER_L)
+SERIES = {"open": lambda w, x, n: open_line_series_vi(OPEN_LINE, w, x, n),
+          "shorted": lambda w, x, n: shorted_line_series_v(TLINE_MODEL, w, x, n)}
+BAD_OMEGAS = {
+    "real-nan": complex(math.nan, -1e6),
+    "real-inf": complex(math.inf, -1e6),
+    "imag-nan": complex(1e8, math.nan),
+    "imag-minus-inf": complex(1e8, -math.inf),
+    "imag-zero": complex(1e8, 0.0),
+    "upper-half": complex(1e8, 1e5),
+}
+BAD_TERMS = {"zero": 0, "negative": -3, "fraction": 2.5, "float": 8.0, "bool": True,
+             "string": "8", "none": None}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize("omega", BAD_OMEGAS.values(), ids=BAD_OMEGAS.keys())
+    def test_series_refuse_bad_omega(self, series, omega):
+        with pytest.raises(ValueError):
+            SERIES[series](omega, 1.0, 8)
+
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_series_refuse_non_finite_x(self, series, x):
+        with pytest.raises(ValueError):
+            SERIES[series](W_OK, x, 8)
+
+    @pytest.mark.parametrize("series", SERIES)
+    @pytest.mark.parametrize("terms", BAD_TERMS.values(), ids=BAD_TERMS.keys())
+    def test_series_refuse_bad_terms(self, series, terms):
+        with pytest.raises(ValueError):
+            SERIES[series](W_OK, 1.0, terms)
+
+    @pytest.mark.parametrize("omega", BAD_OMEGAS.values(), ids=BAD_OMEGAS.keys())
+    def test_impulse_refuses_bad_omega(self, omega):
+        w0 = LC_MODEL.resonance
+        with pytest.raises(ValueError):
+            lc_transfer_from_impulse(LC_MODEL, omega, 25 / w0, 0.01 / w0)
+
+    # (horizon, dt) in units of 1/w0; none of them reaches an array allocation
+    BAD_STEPS = {
+        "horizon-nan": (math.nan, 0.01), "horizon-inf": (math.inf, 0.01),
+        "horizon-zero": (0.0, 0.01), "horizon-negative": (-300.0, 0.01),
+        "dt-nan": (300.0, math.nan), "dt-inf": (300.0, math.inf),
+        "dt-zero": (300.0, 0.0), "dt-negative": (300.0, -0.01),
+    }
+
+    @pytest.mark.parametrize("steps", BAD_STEPS.values(), ids=BAD_STEPS.keys())
+    def test_impulse_refuses_bad_steps(self, steps):
+        w0 = LC_MODEL.resonance
+        with pytest.raises(ValueError):
+            lc_transfer_from_impulse(LC_MODEL, w0 * complex(1, -0.1),
+                                     steps[0] / w0, steps[1] / w0)
+
+
+def test_oracle_records_are_plain_json():
+    records = list(oracle_checks())
+    assert len(records) == 5
+    for record in records:
+        assert [type(v) for v in record] == [str, bool, str]
+    json.dumps(records)
 
 
 class TestOpenLineSeries:
