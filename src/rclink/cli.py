@@ -13,6 +13,7 @@ files double as regression fixtures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -52,11 +53,13 @@ def _atomic_write(path: str, text: str):
 
 
 def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    for name, col in zip(header, columns):
-        if not np.all(np.isfinite(np.asarray(col, dtype=float))):
-            raise RuntimeError(f"refusing to write non-finite values in column {name}")
-    lines = [",".join(header)] + [",".join(_FMT % v for v in row) for row in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    table = np.asarray(columns, dtype=float).T  # one row per CSV line
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        name = header[finite.argmin()]  # the first column holding a non-finite value
+        raise RuntimeError(f"refusing to write non-finite values in column {name}")
+    row = ",".join([_FMT] * len(header)) + "\n"
+    return ",".join(header) + "\n" + row * len(table) % tuple(table.ravel().tolist())
 
 
 def _receivers(config: RunConfig) -> list[tuple[float, ReceiverParams]]:
@@ -150,6 +153,7 @@ def cmd_verify() -> int:
     return status
 
 
+@functools.cache  # built on the first `main` call, not at import; parse_args leaves it as is
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rclink",

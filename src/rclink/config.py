@@ -192,9 +192,9 @@ def load_document(path=None) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path} (line {exc.lineno}): {exc.msg}") from exc
+        raise ConfigError(f"malformed JSON in {str(path)!r} (line {exc.lineno}): {exc.msg}") from exc
 
 
 def default_config() -> RunConfig:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rclink import TLineOpenEnds, default_config, parse_config, serialize_config
+from rclink import TLineOpenEnds, cli, default_config, parse_config, serialize_config
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
 from rclink.cli import _COMMANDS, _FLAGS, main
 from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL, ConfigError
@@ -341,6 +341,8 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if "" in argv:  # an empty --config path shows quoted, not as nothing
+            assert "cannot read config '': " in err
         assert list(tmp_path.iterdir()) == [config]
 
     # a number is a finite JSON int or float, never a bool or a string; grid
@@ -394,6 +396,100 @@ class TestErrorHandling:
         assert main([command, "--config", str(config), "--out", out]) == 2
         assert capsys.readouterr().err == from_flag
         assert from_flag.startswith("config error: ") and from_flag.count("\n") == 1
+
+
+def reference_csv(header, columns):
+    """One `%` per value: the bytes `cli._csv` must reproduce."""
+    lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsv:
+    # around 1e-4 and 1e17 %.17g switches between fixed and exponent form
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1),
+             np.nextafter(1e17, 0), 1e17, np.nextafter(1e17, np.inf), -1e17, 2.0**53 + 2,
+             math.pi, -1 / 3, 1.7976931348623157e308, 2.2250738585072014e-308]
+
+    CASES = {
+        "edges": (["a", "b"], [np.array(EDGES), -np.array(EDGES)]),
+        "support-flags": (["omega", "s", "in_support"],
+                          [np.linspace(1.0, 2.0, 5), np.array([0.0, 1e-30, 0.5, 0.0, 3.0]),
+                           np.array([False, True, True, False, True]).astype(float)]),
+        "one-row": (["x", "y", "z"], [np.array([1e-5]), np.array([1e17]), np.array([-0.0])]),
+        "no-rows": (["x", "y"], [np.array([]), np.array([])]),
+        "rows-transposed": (["mu", "power", "flag"],
+                            np.array([(1e15, 2.5e-14, 0.0), (3e14, 1e-4, 0.0),
+                                      (1.0, 1e17, 1.0)]).T),
+    }
+
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    def test_matches_per_value_format(self, case):
+        header, columns = case
+        assert cli._csv(header, columns) == reference_csv(header, columns)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_column_refused(self, bad):
+        columns = [np.arange(4.0), np.array([1.0, 2.0, bad, 4.0]), np.array([bad] * 4)]
+        with pytest.raises(RuntimeError, match="non-finite values in column b$"):
+            cli._csv(["a", "b", "c"], columns)
+
+    def test_non_finite_value_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        transfer = cli.transfer_magnitude
+
+        def nan_at_second_load(model, rx, nodes):
+            mag = transfer(model, rx, nodes)
+            if rx.load_resistance == 5e5:
+                mag[len(mag) // 2] = math.nan
+            return mag
+
+        monkeypatch.setattr(cli, "transfer_magnitude", nan_at_second_load)
+        assert main(["transfer", "--rl", "5e4,5e5", "--out", str(tmp_path / "t.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: refusing to write non-finite values in column transfer_ohm\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestParserReuse:
+    def test_not_built_at_import(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = "import rclink.cli as c; print(c._build_parser.cache_info().currsize)"
+        run = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "0\n"
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @staticmethod
+    def run_artifact(argv, out_dir):
+        out_dir.mkdir()
+        assert main(argv + ["--out", str(out_dir / "o.csv")]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    # (a run that sets a value, the same command without it)
+    REUSE = {
+        "rl": (["transfer", "--rl", "123456"], ["transfer"]),
+        "power": (["waterfill", "--power", "1e-13"], ["waterfill"]),
+        "config": (["ratio", "--config", "CONFIG"], ["ratio"]),
+    }
+
+    @pytest.mark.parametrize("case", REUSE.values(), ids=REUSE.keys())
+    def test_no_value_carries_over(self, tmp_path, case):
+        config = write_config(tmp_path, {"grid.base_points": 100})
+        with_value = [str(config) if a == "CONFIG" else a for a in case[0]]
+        cli._build_parser.cache_clear()
+        fresh = self.run_artifact(case[1], tmp_path / "fresh")
+        assert self.run_artifact(with_value, tmp_path / "with_value") != fresh
+        assert self.run_artifact(case[1], tmp_path / "without") == fresh
+
+    def test_verify_after_an_artifact_command(self, tmp_path, capsys):
+        cli._build_parser.cache_clear()
+        fresh = (main(["verify"]), capsys.readouterr())
+        self.run_artifact(["sweep", "--mu", "1e16,1e15"], tmp_path / "sweep")
+        capsys.readouterr()
+        assert (main(["verify"]), capsys.readouterr()) == fresh
 
 
 class TestFlagOverrides:
