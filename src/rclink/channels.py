@@ -162,8 +162,14 @@ def eval_reactances(model: ChannelModel, omega) -> ReactanceSample:
     """Evaluate the three reactance entries of `model` at `omega` (rad/s).
 
     Accepts a scalar or ndarray of real frequencies; total on the real line.
+    Refuses complex and non-finite omega, which every per-node functional reads
+    through this one point.
     """
+    if np.iscomplexobj(omega):
+        raise ValueError("omega must be real")
     omega = np.asarray(omega, dtype=float) if np.ndim(omega) else float(omega)
+    if not np.isfinite(omega).all():
+        raise ValueError("omega must be finite")
     return model.reactances(omega)
 
 

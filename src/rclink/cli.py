@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -40,8 +39,11 @@ _FMT = "%.17g"
 
 
 def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".rclink-", suffix=".tmp")
+    """Write through a fresh temp file renamed over `path`.  Created with mode
+    0o666 like open(path, "w"), so the umask alone sets the file's mode."""
+    name = f".rclink-{os.urandom(8).hex()}.tmp"
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), name)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -172,9 +172,14 @@ def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPs
 
 
 def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
-    """Channel-independent zero-temperature capacity bound, bits/s."""
+    """Channel-independent zero-temperature capacity bound, bits/s.
+
+    Without amplifier noise the bound is infinite for any positive budget.
+    """
     if not 0 <= p_t < math.inf:
         raise ValueError("p_t must be nonnegative and finite")
+    if rx.amp_noise_density == 0:
+        return math.inf if p_t > 0 else 0.0
     b = band.bandwidth
     snr = p_t * rx.amp_gain**2 * rx.load_resistance / (2 * b * rx.amp_noise_density)
     return b * math.log2(1 + snr)

@@ -4,10 +4,11 @@ The capacity problem separates per frequency; the optimal transmit-current
 spectral density is 1/(mu*beta) - 1/alpha wherever positive, with the
 Lagrange multiplier mu set by the power budget.  The budget is inverted to
 mu exactly, with no tolerance: sorting the nodes by alpha/beta makes the
-power of every candidate support a closed form in running sums.  Poles of
-the channel are local minima of alpha/beta, so the optimal allocation
-avoids resonances.  Every solver reads `linkmodel._profile` through
-`_coupled_profile`, which refuses a channel that couples at no node.
+budget at which each node joins the support a closed form in running sums,
+so one search finds the support.  Poles of the channel are local minima of
+alpha/beta, so the optimal allocation avoids resonances.  Every solver reads
+`linkmodel._profile` through `_coupled_profile`, which refuses a channel
+that couples at no node.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
     "solve_for_power",
     "sweep",
 ]
+
+_MAX_REFINE_LEVELS = 29  # h/2**30 is under the near-duplicate spacing h*1e-9
 
 
 @dataclass(frozen=True)
@@ -67,27 +70,19 @@ def build_grid(
 ) -> FrequencyGrid:
     """Uniform base grid with nested halving refinement around in-band poles.
 
-    Each refinement level halves the spacing inside a window of +-10 spacings
-    of the previous level around every pole; every in-band pole is a node.
+    Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to
+    every pole, h the base spacing; every in-band pole is a node.  Levels
+    past 29 are refused, as their nodes would merge as near-duplicates.
     """
     if base_points < 16:
         raise ValueError("base_points must be at least 16")
-    if refine_levels < 0:
-        raise ValueError("refine_levels must be nonnegative")
+    if not 0 <= refine_levels <= _MAX_REFINE_LEVELS:
+        raise ValueError(f"refine_levels must be in [0, {_MAX_REFINE_LEVELS}]")
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
     poles = poles_in_interval(model, lo, hi)
-    # the offsets of every refinement level, shared by all poles (the empty
-    # first piece keeps refine_levels=0 valid)
-    offsets = [np.empty(0)]
-    window = 10 * h
-    spacing = h
-    for _ in range(refine_levels):
-        spacing /= 2
-        n = round(window / spacing)
-        offsets.append(spacing * np.arange(-n, n + 1))
-        window /= 2
-    extra = (poles[:, None] + np.concatenate(offsets)).ravel()
+    offsets = (h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21)
+    extra = (poles[:, None] + offsets.ravel()).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
     # drop near-duplicates that would produce tiny weights, then snap the
@@ -135,32 +130,27 @@ def solve_for_power(
 ) -> WaterfillSolution:
     """Invert the power budget to mu exactly, by sorting the nodes on alpha/beta.
 
-    With the coupled nodes in descending order of r = alpha/beta, powering the
-    top k of them at budget p_t takes the level mu_k = W_k / (p_t + V_k),
-    where W_k and V_k are the running sums of w and w/r (w the quadrature
-    weight over 2 pi).  The optimum powers the top k for the first k whose
-    level excludes node k+1, or the whole band if none does.
+    With the coupled nodes in descending order of r = alpha/beta, and W_k and
+    V_k the running sums of w and w/r over the top k (w the quadrature weight
+    over 2 pi), node k+1 joins the support once the budget passes its join
+    budget W_k / r_{k+1} - V_k.  The join budgets rise with k, so one search
+    for p_t among them gives the support; past the last one it is the band.
     """
     if not 0 < p_t < math.inf:
         raise ValueError("p_t must be positive and finite")
     prof = _coupled_profile(model, rx, grid)
-    n_coupled = int(np.count_nonzero(prof.coupled))
     # built in place: the profile already holds several arrays of grid size
-    order = np.argsort(np.where(prof.coupled, prof.ratio, -np.inf))[::-1][:n_coupled]
+    order = np.argsort(np.where(prof.coupled, prof.ratio, -np.inf))[::-1]
+    order = order[: np.count_nonzero(prof.coupled)]
     r = prof.ratio[order]
     w = grid.weights[order]
     del order
     w /= 2 * math.pi
-    levels = np.cumsum(w)
-    np.divide(w, r, out=w)
-    np.cumsum(w, out=w)
-    w += p_t
-    np.divide(levels, w, out=levels)
-    del w
-    exceeded = levels[:-1] >= r[1:]
-    k = int(np.argmax(exceeded)) if exceeded.any() else n_coupled - 1
-    r_k = float(r[k])
-    del levels, r, exceeded
+    joins = np.cumsum(w)[:-1]
+    joins /= r[1:]
+    joins -= np.cumsum(np.divide(w, r, out=w), out=w)[:-1]
+    r_k = float(r[np.searchsorted(joins, p_t)])
+    del w, joins, r
     # the running sums fix the support; its level comes from plain sums over
     # it, which do not accumulate roundoff along the sorted order
     support = prof.coupled & (prof.ratio >= r_k)

@@ -45,3 +45,18 @@ def riemann_capacity_power(model, rx, band, mu, n_points):
     cap = float(np.sum(np.log2(r[support] / mu)) * delta / (2 * math.pi))
     power = float(np.sum(1 / mu - 1 / r[support]) * delta / (2 * math.pi))
     return cap, power
+
+
+def water_level_by_loop(ratio, weights, p_t):
+    """Smallest alpha/beta in the water-filling support at budget p_t, by the
+    running-level loop: with the nodes in descending ratio, power the top k at
+    level W_k / (p_t + V_k) (running sums of w and w/r, w = weight / 2 pi)
+    and stop at the first k whose level excludes node k+1."""
+    order = np.argsort(ratio, kind="stable")[::-1]
+    sum_w = sum_w_over_r = 0.0
+    for k, i in enumerate(order):
+        w = weights[i] / (2 * math.pi)
+        sum_w += w
+        sum_w_over_r += w / ratio[i]
+        if k + 1 == len(order) or sum_w / (p_t + sum_w_over_r) >= ratio[order[k + 1]]:
+            return ratio[i]

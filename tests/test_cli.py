@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -307,6 +308,15 @@ class TestErrorHandling:
     def test_bad_rl_list(self, tmp_path):
         assert main(["transfer", "--out", str(tmp_path / "o.csv"), "--rl", "5e4,abc"]) == 2
 
+    def test_table1_without_amplifier_noise(self, tmp_path, capsys):
+        # the upper bound is infinite, which no CSV holds
+        config = write_config(tmp_path, {"receiver.amp_noise_v2_per_hz": 0.0})
+        assert main(["table1", "--config", str(config), "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "upper_bound_bs_hz" in err
+        assert list(tmp_path.iterdir()) == [config]
+
     # each value reaches a solver or the grid builder, which refuses it
     BAD_INPUTS = {
         "power-zero": ["waterfill", "--power", "0"],
@@ -314,6 +324,8 @@ class TestErrorHandling:
         "grid-points-zero": ["waterfill", "--grid-points", "0"],
         "grid-points-8": ["waterfill", "--grid-points", "8"],
         "refine-negative": ["waterfill", "--refine", "-1"],
+        "refine-30": ["sweep", "--refine", "30"],
+        "refine-2000": ["sweep", "--refine", "2000"],
         "rl-negative": ["transfer", "--rl", "-5"],
         "rl-second-negative": ["transfer", "--rl", "5e4,-5"],
         "rl-same-file-name": ["ratio", "--rl", "123456.7,123456.8"],
@@ -402,6 +414,19 @@ def reference_csv(header, columns):
     """One `%` per value: the bytes `cli._csv` must reproduce."""
     lines = [",".join(header)] + [",".join("%.17g" % v for v in row) for row in zip(*columns)]
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_artifact_mode_follows_umask(tmp_path, umask, mode):
+    # the mode open(path, "w") would give, though written through a temp file
+    old = os.umask(umask)
+    try:
+        assert main(["waterfill", "--out", str(tmp_path / "w.csv")]) == 0
+    finally:
+        os.umask(old)
+    files = sorted(tmp_path.iterdir())
+    assert [f.name for f in files] == ["w.csv", "w_summary.json"]
+    assert all(stat.S_IMODE(f.stat().st_mode) == mode for f in files)
 
 
 class TestCsv:

@@ -152,6 +152,11 @@ class TestCapacityBounds:
     def test_upper_bound_zero_power(self, lc_band, receiver):
         assert capacity_upper_bound(receiver, lc_band, 0.0) == 0.0
 
+    def test_upper_bound_without_amplifier_noise(self, lc_band):
+        rx = make_receiver(5e4, amp_noise=0.0)
+        assert capacity_upper_bound(rx, lc_band, POWER_W) == math.inf
+        assert capacity_upper_bound(rx, lc_band, 0.0) == 0.0
+
     def test_lower_bound_reference_values(self, lc_band):
         for rl, expected in ((5e4, 0.426), (5e6, 9.69)):
             grid = build_grid(lc_band, LC_MODEL, 512, 6)
@@ -224,3 +229,28 @@ NON_FINITE_ENTRY_POINTS = {
 def test_non_finite_refused(call, bad):
     with pytest.raises(ValueError, match="finite"):
         call(bad)
+
+
+# every per-node functional reads omega through eval_reactances, which refuses
+# what it would otherwise drop an imaginary part of, or turn into NaN samples
+OMEGA_READERS = {
+    "eval-reactances": lambda omega: eval_reactances(LC_MODEL, omega),
+    "transfer-magnitude": lambda omega: transfer_magnitude(LC_MODEL, make_receiver(5e4), omega),
+    "alpha": lambda omega: alpha(LC_MODEL, make_receiver(5e4), omega),
+    "beta": lambda omega: beta(LC_MODEL, make_receiver(5e4), omega),
+    "ratio": lambda omega: ratio_alpha_beta(LC_MODEL, make_receiver(5e4), omega),
+    "output-psd": lambda omega: output_psd(LC_MODEL, make_receiver(5e4), omega, 0.0),
+}
+BAD_OMEGAS = {
+    "complex-array": np.array([W0, W0 * (1 + 1e-3j)]),
+    "complex-scalar": complex(W0, 1.0),
+    "nan-array": np.array([W0, math.nan]),
+    "inf-scalar": math.inf,
+}
+
+
+@pytest.mark.parametrize("omega", BAD_OMEGAS.values(), ids=BAD_OMEGAS)
+@pytest.mark.parametrize("call", OMEGA_READERS.values(), ids=OMEGA_READERS)
+def test_bad_omega_refused(call, omega):
+    with pytest.raises(ValueError, match="omega must be"):
+        call(omega)

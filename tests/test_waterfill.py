@@ -26,7 +26,7 @@ from rclink.cli import main
 from rclink.config import DEFAULT_TLINE_CHANNEL, default_config, serialize_config
 
 from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
-from oracles import riemann_capacity_power
+from oracles import riemann_capacity_power, water_level_by_loop
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +92,15 @@ class TestBuildGrid:
     def test_base_points_floor(self, lc_band):
         with pytest.raises(ValueError):
             build_grid(lc_band, LC_MODEL, 8, 6)
+
+    def test_refine_levels_limit(self, lc_band):
+        # level 29 is the finest whose spacing h/2**29 stays above the
+        # near-duplicate threshold h*1e-9
+        grid = build_grid(lc_band, LC_MODEL, 512, 29)
+        assert len(grid.nodes) == 1093 and np.all(np.diff(grid.nodes) > 0)
+        for levels in (-1, 30, 2000):
+            with pytest.raises(ValueError, match="refine_levels"):
+                build_grid(lc_band, LC_MODEL, 512, levels)
 
     def test_grid_convergence_at_reference_points(self, lc_band):
         for rl in (5e4, 5e6):
@@ -277,6 +286,8 @@ class TestRandomShortedLines:
         assert np.all(r[sol.support_mask] > sol.mu)
         assert np.all(r[valid & ~sol.support_mask] <= sol.mu)
         assert abs(sol.power - p_t) / p_t <= 1e-12
+        level = water_level_by_loop(r[valid], grid.weights[valid], p_t)
+        np.testing.assert_array_equal(sol.support_mask, valid & (r >= level))
         # the water level is the budget's inverse: power falls through p_t at mu
         assert solve_for_mu(model, rx, grid, sol.mu * (1 + 1e-9)).power < p_t
         assert solve_for_mu(model, rx, grid, sol.mu * (1 - 1e-9)).power > p_t
@@ -287,6 +298,53 @@ class TestRandomShortedLines:
             assert "too coarse" in str(exc)
         else:
             assert lower < sol.capacity < capacity_upper_bound(rx, tline_band, p_t)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        poles=st.floats(0.5, 120.0),
+        taps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        points_per_pole=st.sampled_from([8, 12, 32]),
+        rl=st.floats(5e4, 5e6),
+    )
+    def test_breakpoints_exact(self, tline_band, poles, taps, points_per_pole, rl):
+        length = poles * 3.0e8 / (2 * tline_band.bandwidth)
+        model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
+        grid = build_grid(tline_band, model, max(16, round(points_per_pole * poles)), 6)
+        assert_breakpoints_exact(model, make_receiver(rl), grid)
+
+
+def assert_breakpoints_exact(model, rx, grid):
+    """Budgets at the breakpoints of the capacity-power curve: at p_j, the power
+    of water level r_j (a coupled node's ratio), solve_for_power returns mu = r_j
+    and the capacity of solve_for_mu(r_j).  Along the breakpoints C rises and is
+    concave, its chord slopes bracketed by the levels, as dC/dP = mu*log2(e)."""
+    ratio = ratio_alpha_beta(model, rx, grid.nodes)
+    coupled = eval_reactances(model, grid.nodes).num_rt != 0
+    r = np.unique(ratio[coupled])[::-1]
+    levels, caps, powers = [], [], []
+    for r_j in r[np.unique(np.linspace(1, len(r) - 1, 12).astype(int))]:
+        ref = solve_for_mu(model, rx, grid, float(r_j))
+        if ref.power == 0:  # r_j so near the top that 1/r_j - 1/r_0 rounds to 0
+            continue
+        sol = solve_for_power(model, rx, grid, ref.power)
+        assert abs(sol.mu - r_j) <= 1e-12 * r_j
+        # 1e-12 relative, plus what that tolerance on the level moves C by,
+        # dC/dmu = -W_j/(mu ln 2) with W_j the support's weight: where the
+        # ratio plateaus, C is small against W_j and p_j carries cancellation
+        w_j = np.sum(grid.weights[coupled & (ratio >= r_j)]) / (2 * math.pi)
+        assert abs(sol.capacity - ref.capacity) <= 1e-12 * (ref.capacity + w_j / math.log(2))
+        levels.append(r_j)
+        caps.append(sol.capacity)
+        powers.append(sol.power)
+    levels = np.array(levels)
+    slopes = np.diff(caps) / np.diff(powers) / math.log2(math.e)
+    assert np.all(np.diff(caps) > 0) and np.all(np.diff(slopes) < 0)
+    assert np.all((levels[1:] <= slopes) & (slopes <= levels[:-1]))
+
+
+@pytest.mark.parametrize("rl", [5e4, 5e5, 5e6])
+def test_lc_breakpoints_exact(lc_grid, rl):
+    assert_breakpoints_exact(LC_MODEL, make_receiver(rl), lc_grid)
 
 
 class TestUncoupledChannel:
