@@ -41,10 +41,12 @@ class ReactanceSample:
     The reactances are recovered as Z_T'' = num_t/denom, Z_R'' = num_r/denom,
     Z_RT'' = num_rt/denom wherever denom != 0.  All fields are finite at every
     real omega, pole frequencies included.  Fields may be scalars or arrays,
-    following the shape of omega.
+    following the shape of omega.  A grid's receive-side sample (see
+    waterfill.FrequencyGrid) has num_t None: the transmit port is current-driven,
+    so Z_T enters no functional of the link.
     """
 
-    num_t: np.ndarray | float  # ohm
+    num_t: np.ndarray | float | None  # ohm
     num_r: np.ndarray | float  # ohm
     num_rt: np.ndarray | float  # ohm
     denom: np.ndarray | float  # dimensionless
@@ -141,16 +143,21 @@ class TLineShortedTapped(_Line):
 
     def reactances(self, omega) -> ReactanceSample:
         k = omega / self.wave_speed
-        z0, length = self.char_impedance, self.length
-        xt, xr = self.x_transmit, self.x_receive
-
-        # product form z0 sin(k a) sin(k (L - b)) for taps a <= b: exactly 0 for
-        # a tap on a shorted end, and exactly symmetric in the two taps
-        def num(a, b):
-            return z0 * np.sin(k * a) * np.sin(k * (length - b))
-
-        return ReactanceSample(num(xt, xt), num(xr, xr), num(min(xt, xr), max(xt, xr)),
-                               np.sin(k * length))
+        a, b = sorted((self.x_transmit, self.x_receive))
+        # product form z0 sin(k p) sin(k (L - q)) for taps p <= q: exactly 0 for
+        # a tap on a shorted end, and exactly symmetric in the two taps.  The
+        # five distinct sines are taken one at a time and folded into their
+        # numerators in place: holding the four tap sines at once raised the
+        # peak memory of a 300k-node grid by half.
+        num_a = self.char_impedance * np.sin(k * a)
+        sb = np.sin(k * (self.length - b))
+        num_rt = num_a * sb
+        num_a *= np.sin(k * (self.length - a))
+        num_b = self.char_impedance * np.sin(k * b)
+        num_b *= sb
+        del sb
+        num_t, num_r = (num_a, num_b) if self.x_transmit <= self.x_receive else (num_b, num_a)
+        return ReactanceSample(num_t, num_r, num_rt, np.sin(k * self.length))
 
 
 ChannelModel = Union[LcParallel, TLineOpenEnds, TLineShortedTapped]

@@ -73,11 +73,13 @@ def _receivers(config: RunConfig) -> list[tuple[float, ReceiverParams]]:
 
 
 def _curve(header: list[str], columns):
-    """A command giving one CSV per load resistance of columns(model, rx, nodes)."""
+    """A command giving one CSV per load resistance of columns(sample, rx, nodes),
+    with the receive-side sample that the grid carries, so no R_L re-evaluates
+    the channel."""
     def fn(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
         stem, ext = os.path.splitext(out)
         return [(f"{stem}_rl{rl:g}{ext or '.csv'}",
-                 _csv(header, columns(config.channel, rx, grid.nodes)))
+                 _csv(header, columns(grid.sample, rx, grid.nodes)))
                 for rl, rx in _receivers(config)]
     return fn
 
@@ -125,11 +127,11 @@ def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[s
 _COMMANDS = {
     "transfer": ("transfer magnitude vs frequency per load resistance", ("--rl",),
                  _curve(["omega_rad_s", "freq_ghz", "transfer_ohm"],
-                        lambda model, rx, nodes: [nodes, nodes / (2 * math.pi * 1e9),
-                                                  transfer_magnitude(model, rx, nodes)])),
+                        lambda sample, rx, nodes: [nodes, nodes / (2 * math.pi * 1e9),
+                                                   transfer_magnitude(sample, rx, nodes)])),
     "ratio": ("alpha/beta ratio vs frequency per load resistance", ("--rl",),
               _curve(["omega_rad_s", "ratio"],
-                     lambda model, rx, nodes: [nodes, ratio_alpha_beta(model, rx, nodes)])),
+                     lambda sample, rx, nodes: [nodes, ratio_alpha_beta(sample, rx, nodes)])),
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
                   cmd_waterfill),
     "sweep": ("capacity vs power cross-plot over a multiplier range", ("--mu",), cmd_sweep),

@@ -96,6 +96,8 @@ class OutputPsd(NamedTuple):
 
 
 def _sample(model, omega) -> ReactanceSample:
+    """`model`'s reactances at omega; a sample already taken there, such as the
+    one a grid carries, is read as it is."""
     if isinstance(model, ReactanceSample):
         return model
     return eval_reactances(model, omega)
@@ -104,9 +106,10 @@ def _sample(model, omega) -> ReactanceSample:
 def _noise(s: ReactanceSample, rx: ReceiverParams):
     """Load term num_r^2 + R_L^2 denom^2 and Johnson term 2 g^2 k T R_L num_r^2."""
     rl = rx.load_resistance
-    load = s.num_r**2 + rl**2 * s.denom**2
-    johnson = 2 * rx.amp_gain**2 * rx.boltzmann * rx.temperature * rl * s.num_r**2
-    return load, johnson
+    r2 = s.num_r**2
+    load = r2 + rl**2 * s.denom**2
+    r2 *= 2 * rx.amp_gain**2 * rx.boltzmann * rx.temperature * rl  # now the Johnson term
+    return load, r2
 
 
 def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
@@ -117,9 +120,11 @@ def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
 
 
 class _Profile(NamedTuple):
-    """alpha, beta and alpha/beta at every node, and where the channel couples."""
+    """beta and alpha/beta at every node, and where the channel couples.
 
-    alpha: np.ndarray | float
+    alpha itself is ratio * beta; no solver needs it apart from the ratio.
+    """
+
     beta: np.ndarray | float
     ratio: np.ndarray | float
     coupled: np.ndarray | bool  # False where the mutual reactance vanishes
@@ -129,20 +134,29 @@ def _profile(model, rx: ReceiverParams, omega) -> _Profile:
     """One reactance sample and one noise pass, each term dropped once read."""
     s = _sample(model, omega)
     load, den = _noise(s, rx)
-    coupled, rt2 = s.num_rt != 0, s.num_rt**2
-    del s
     den += rx.amp_noise_density * load  # Johnson plus amplifier noise
-    b = 2 * rx.load_resistance * rt2 / load
     # multiplied-out arrangement: no cancellation off-pole, finite on poles
-    r = (rx.amp_gain**2 * rx.load_resistance / 2) * load / den
-    del load
-    a = rx.amp_gain**2 * rt2 * rx.load_resistance**2 / den
-    return _Profile(a, b, r, coupled)
+    r = (rx.amp_gain**2 * rx.load_resistance / 2) * load
+    r /= den
+    del den
+    coupled, b = s.num_rt != 0, s.num_rt**2
+    del s
+    b *= 2 * rx.load_resistance
+    b /= load
+    return _Profile(b, r, coupled)
+
+
+def _grid_profile(model, rx: ReceiverParams, grid) -> _Profile:
+    """The profile of the reactances `grid` carries; refuses another channel."""
+    if model != grid.channel:
+        raise ValueError("grid was built for another channel")
+    return _profile(grid.sample, rx, grid.nodes)
 
 
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
-    """SNR per unit transmit-current spectral density, 1/(A^2 s)."""
-    return _profile(model, rx, omega).alpha
+    """SNR per unit transmit-current spectral density, 1/(A^2 s), as ratio * beta."""
+    prof = _profile(model, rx, omega)
+    return prof.ratio * prof.beta
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -155,7 +169,9 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
 
     The ratio is independent of the mutual reactance, so it remains defined
     (by continuity) even where Z_RT'' = 0 and alpha/beta itself is 0/0.
-    Every channel pole is a local minimum of this quantity.
+    Every pole that the receive side sees (a pole of Z_R) is a local minimum
+    of this quantity; a pole cancelled in Z_R, such as an even mode of a line
+    whose receive tap sits at its middle, can be a local maximum.
     """
     return _profile(model, rx, omega).ratio
 
@@ -203,15 +219,18 @@ def capacity_lower_bound(
     """Capacity of the flat-SNR (zero-temperature-optimal) transmit density.
 
     Integrates log2[1 + p_t * (alpha/beta)(omega) / B] over the coupled nodes
-    of `grid` (see waterfill.build_grid); a channel coupling nowhere gives 0.
+    of `grid` (see waterfill.build_grid), from the reactances the grid carries;
+    a grid built for another channel is refused, and a channel coupling
+    nowhere gives 0.
     With T=0 this reduces exactly to the upper bound.  Raises ValueError when
     every other node (the last one included) moves the result by over 1e-3.
     """
     if not 0 <= p_t < math.inf:
         raise ValueError("p_t must be nonnegative and finite")
     nodes, weights = np.asarray(grid.nodes), np.asarray(grid.weights)
-    ratio, coupled = _profile(model, rx, nodes)[2:]
+    ratio, coupled = _grid_profile(model, rx, grid)[1:]
     vals = np.where(coupled, np.log2(1 + p_t * ratio / band.bandwidth), 0.0)
+    del ratio, coupled  # the every-other-node check below holds its own arrays
     result = float(np.sum(weights * vals) / (2 * math.pi))
     half = np.r_[0 : len(nodes) - 1 : 2, len(nodes) - 1]
     coarse = float(np.sum(_trapezoid_weights(nodes[half]) * vals[half]) / (2 * math.pi))

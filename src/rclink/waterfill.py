@@ -5,10 +5,13 @@ spectral density is 1/(mu*beta) - 1/alpha wherever positive, with the
 Lagrange multiplier mu set by the power budget.  The budget is inverted to
 mu exactly, with no tolerance: sorting the nodes by alpha/beta makes the
 budget at which each node joins the support a closed form in running sums,
-so one search finds the support.  Poles of the channel are local minima of
-alpha/beta, so the optimal allocation avoids resonances.  Every solver reads
-`linkmodel._profile` through `_coupled_profile`, which refuses a channel
-that couples at no node.
+so one search finds the support.  Poles that the receive side sees are local
+minima of alpha/beta, so the optimal allocation avoids those resonances.
+
+A grid is built for one channel and carries that channel's receive-side
+reactances at its nodes, evaluated once.  Every solver profiles them through
+`_coupled_profile`, which refuses a model other than the grid's channel and
+a channel that couples at no node.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel, poles_in_interval
-from .linkmodel import Band, ReceiverParams, _Profile, _profile, _trapezoid_weights
+from .channels import ChannelModel, ReactanceSample, eval_reactances, poles_in_interval
+from .linkmodel import Band, ReceiverParams, _grid_profile, _Profile, _trapezoid_weights
 
 __all__ = [
     "FrequencyGrid",
@@ -36,11 +39,19 @@ _MAX_REFINE_LEVELS = 29  # h/2**30 is under the near-duplicate spacing h*1e-9
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Trapezoidal quadrature nodes over a band, refined around channel poles."""
+    """Trapezoidal quadrature nodes over a band, refined around channel poles.
+
+    The grid belongs to the channel it was built for: `sample` holds that
+    channel's receive-side reactances at the nodes, num_r, num_rt and denom,
+    equal bit for bit to eval_reactances(channel, nodes).  Its num_t is None,
+    as no functional of a current-driven transmit port reads Z_T.
+    """
 
     nodes: np.ndarray  # rad/s, strictly increasing
     weights: np.ndarray  # rad/s, positive, summing to the band span
     pole_nodes: np.ndarray  # indices of nodes sitting exactly on poles
+    channel: ChannelModel  # the model the grid was built for
+    sample: ReactanceSample  # its receive-side reactances at the nodes
 
 
 @dataclass(frozen=True)
@@ -72,7 +83,8 @@ def build_grid(
 
     Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to
     every pole, h the base spacing; every in-band pole is a node.  Levels
-    past 29 are refused, as their nodes would merge as near-duplicates.
+    past 29 are refused, as their nodes would merge as near-duplicates.  The
+    channel is evaluated once, at the final nodes.
     """
     if base_points < 16:
         raise ValueError("base_points must be at least 16")
@@ -85,6 +97,7 @@ def build_grid(
     extra = (poles[:, None] + offsets.ravel()).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
+    del extra, offsets
     # drop near-duplicates that would produce tiny weights, then snap the
     # nearest surviving node onto each pole exactly (the lower one on a tie)
     nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
@@ -92,12 +105,14 @@ def build_grid(
     pole_idx = right - (poles - nodes[right - 1] <= nodes[right] - poles)
     nodes[pole_idx] = poles
     weights = _trapezoid_weights(nodes)
-    return FrequencyGrid(nodes, weights, pole_idx)
+    s = eval_reactances(model, nodes)
+    return FrequencyGrid(nodes, weights, pole_idx, model,
+                         ReactanceSample(None, s.num_r, s.num_rt, s.denom))
 
 
 def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> _Profile:
-    """The grid's profile; refuses a channel that couples at no node."""
-    prof = _profile(model, rx, grid.nodes)
+    """The grid's profile; refuses another channel and one that couples at no node."""
+    prof = _grid_profile(model, rx, grid)
     if not np.any(prof.coupled):
         raise ValueError("channel has no coupling anywhere in the band")
     return prof
@@ -105,11 +120,14 @@ def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGri
 
 def _solve(profile: _Profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:
     support = profile.coupled & (profile.ratio > mu)
-    s_it = np.zeros_like(grid.nodes)
-    s_it[support] = 1 / (mu * profile.beta[support]) - 1 / profile.alpha[support]
     w = grid.weights[support] / (2 * math.pi)
     capacity = float(np.sum(w * np.log2(profile.ratio[support] / mu)))
-    power = float(np.sum(w * (1 / mu - 1 / profile.ratio[support])))
+    density = 1 / mu - 1 / profile.ratio[support]  # s_it * beta, as alpha = ratio * beta
+    power = float(np.sum(w * density))
+    del w  # at most three support-sized arrays live beside the profile and the grid
+    density /= profile.beta[support]
+    s_it = np.zeros_like(grid.nodes)
+    s_it[support] = density
     return WaterfillSolution(mu, support, s_it, capacity, power)
 
 

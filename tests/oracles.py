@@ -2,7 +2,8 @@
 
 These deliberately avoid the rational-form code: the LC reactance comes from
 complex admittance inversion, the tapped-line mutual reactance from the
-distributed-voltage solution, and capacity/power from a plain midpoint
+distributed-voltage solution, the tapped-line numerators from their
+definition, two sines each, and capacity/power from a plain midpoint
 Riemann sum on a uniform grid.
 """
 
@@ -32,6 +33,18 @@ def shorted_mutual_reactance(model, omega):
         / (2 * cmath.sin(k * length))
     )
     return (v_over_it / 1j).real
+
+
+def shorted_numerators_by_definition(model, omega):
+    """(num_t, num_r, num_rt) of the shorted tapped line, each from its own two
+    sines, z0 sin(k p) sin(k (L - q)) for taps p <= q, multiplied in that order."""
+    k = omega / model.wave_speed
+
+    def num(p, q):
+        return model.char_impedance * np.sin(k * p) * np.sin(k * (model.length - q))
+
+    xt, xr = model.x_transmit, model.x_receive
+    return num(xt, xt), num(xr, xr), num(min(xt, xr), max(xt, xr))
 
 
 def riemann_capacity_power(model, rx, band, mu, n_points):

@@ -3,7 +3,8 @@
 perfbench/ drives rclink through public names (``waterfill.build_grid``,
 ``sweep(...).points``, ``cli.main``) and wraps them in spans when traced.  One
 traced job per workload, cycle 0 of seed 1, catches a library change that
-would make every benchmark job fail.
+would make every benchmark job fail.  A tline_scan job samples its channel
+once, in ``build_grid``; the solvers and the lower bound read the grid.
 """
 
 import sys
@@ -28,3 +29,11 @@ def test_one_traced_job_passes_its_check(tmp_path, name):
     assert workload.check(spec, result) is None
     assert workload.fingerprint(result)
     assert tracer.spans, "no rclink call was traced"
+
+
+def test_tline_scan_evaluates_the_channel_once(tmp_path):
+    workload = workloads.WORKLOADS["tline_scan"](1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        workload.run(workload.cycle(0)[0])
+    assert tracer.counts["channels.eval_reactances.calls"] == 1

@@ -14,9 +14,15 @@ from rclink import (
 )
 
 from conftest import LC_MODEL, TLINE_MODEL
-from oracles import lc_reactance_admittance, shorted_mutual_reactance
+from oracles import (
+    lc_reactance_admittance,
+    shorted_mutual_reactance,
+    shorted_numerators_by_definition,
+)
 
 OPEN_LINE = TLineOpenEnds(50.0, 3.0e8, 75.0)
+# a tap as a fraction of the line: anywhere on it, or on one of its shorted ends
+TAP = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
 
 
 class TestEvalReactances:
@@ -92,6 +98,34 @@ class TestEvalReactances:
         xt, xr = (boundary, x_other) if transmit_at_boundary else (x_other, boundary)
         s = eval_reactances(TLineShortedTapped(50.0, 3.0e8, 75.0, xt, xr), omega)
         assert s.num_rt == 0.0
+
+    @given(
+        length=st.floats(0.5, 500.0),
+        taps=st.one_of(st.tuples(TAP, TAP), TAP.map(lambda f: (f, f))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shorted_numerators_exact(self, length, taps, seed):
+        """The five shared sines give each numerator exactly as its own two sines
+        do.  Swapping the taps swaps num_t and num_r and keeps num_rt; a tap on an
+        end gives num_rt = 0, and coincident taps three equal numerators."""
+        xt, xr = (f * length for f in taps)
+        model = TLineShortedTapped(50.0, 3.0e8, length, xt, xr)
+        swapped = TLineShortedTapped(50.0, 3.0e8, length, xr, xt)
+        omegas = np.random.default_rng(seed).uniform(0.0, 1e11, 64)
+        for omega in (omegas, float(omegas[0])):
+            s, t = eval_reactances(model, omega), eval_reactances(swapped, omega)
+            for got, want in zip((s.num_t, s.num_r, s.num_rt),
+                                 shorted_numerators_by_definition(model, omega)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(t.num_rt, s.num_rt)
+            np.testing.assert_array_equal(t.num_t, s.num_r)
+            np.testing.assert_array_equal(t.num_r, s.num_t)
+            if {xt, xr} & {0.0, length}:
+                assert np.all(s.num_rt == 0.0)
+            if xt == xr:
+                np.testing.assert_array_equal(s.num_t, s.num_rt)
+                np.testing.assert_array_equal(s.num_r, s.num_rt)
 
 
 class TestPoles:

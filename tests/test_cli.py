@@ -11,7 +11,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rclink import TLineOpenEnds, cli, default_config, parse_config, serialize_config
+from rclink import (
+    TLineOpenEnds,
+    channels,
+    cli,
+    default_config,
+    linkmodel,
+    parse_config,
+    serialize_config,
+    waterfill,
+)
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
 from rclink.cli import _COMMANDS, _FLAGS, main
 from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL, ConfigError
@@ -268,6 +277,22 @@ class TestTable1Command:
         assert main(["table1", "--refine", "0", "--out", str(out)]) == 0
         _, lower, se, upper = read_csv(out)[1].T
         assert np.all((lower < se) & (se < upper))
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_one_channel_evaluation_per_run(tmp_path, monkeypatch, command):
+    """build_grid samples the channel once; every load resistance reads that sample."""
+    evaluate, points = channels.eval_reactances, []
+
+    def counted(model, omega):
+        points.append(np.size(omega))
+        return evaluate(model, omega)
+
+    for module in (waterfill, linkmodel):
+        monkeypatch.setattr(module, "eval_reactances", counted)
+    assert len(default_config().load_resistances) == 3
+    assert main([command, "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(points) == 1
 
 
 class TestVerifyCommand:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from rclink import (
     Band,
+    TLineOpenEnds,
     TLineShortedTapped,
     alpha,
     beta,
@@ -110,6 +112,36 @@ class TestBuildGrid:
                 for bp in (512, 1024)
             ]
             assert abs(caps[1] - caps[0]) / caps[0] < 1e-3
+
+
+class TestGridCarriesItsChannel:
+    """A grid holds its channel's receive-side reactances; solvers read only them."""
+
+    @pytest.mark.parametrize("model", [LC_MODEL, TLineOpenEnds(50.0, 3.0e8, 75.0), TLINE_MODEL],
+                             ids=["lc", "open", "shorted"])
+    def test_sample_is_the_channel_at_the_nodes(self, lc_band, tline_band, model):
+        grid = build_grid(lc_band if model is LC_MODEL else tline_band, model, 512, 6)
+        s = eval_reactances(model, grid.nodes)
+        assert grid.channel is model
+        assert grid.sample.num_t is None
+        for field in ("num_r", "num_rt", "denom"):
+            assert getattr(grid.sample, field).tobytes() == getattr(s, field).tobytes()
+
+    SOLVERS = {
+        "solve-for-mu": lambda model, rx, grid, band: solve_for_mu(model, rx, grid, 1e15),
+        "solve-for-power": lambda model, rx, grid, band: solve_for_power(model, rx, grid, POWER_W),
+        "sweep": lambda model, rx, grid, band: sweep(model, rx, grid),
+        "lower-bound": lambda model, rx, grid, band: capacity_lower_bound(
+            model, rx, band, POWER_W, grid),
+    }
+
+    @pytest.mark.parametrize("solve", SOLVERS.values(), ids=SOLVERS)
+    def test_grid_of_another_channel_refused(self, tline_grid, tline_band, receiver, solve):
+        for other in (replace(TLINE_MODEL, x_receive=TLINE_MODEL.x_receive / 2), LC_MODEL):
+            with pytest.raises(ValueError, match="grid was built for another channel"):
+                solve(other, receiver, tline_grid, tline_band)
+        # an equal channel is the same channel
+        solve(replace(TLINE_MODEL), receiver, tline_grid, tline_band)
 
 
 class TestSolveForMu:
