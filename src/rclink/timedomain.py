@@ -7,8 +7,12 @@ region of convergence gives an independent check of the closed-form
 impedance expressions without discretizing delta functions.  Each series is
 summed term by term over a numpy array of its first `terms` terms, never
 through the geometric closed form (1 - q^n)/(1 - q), which would tie the
-oracle to the closed form it checks.  The LC channel, whose impulse
-response is delta-free, additionally gets a direct time-integral check.
+oracle to the closed form it checks.  The terms q^m are formed by the
+exponent law, each the product of two entries from tables of about sqrt(n)
+exponentials (`_powers`), so an n-term train costs 2*sqrt(n) complex
+exponentials, not n.  The LC channel, whose impulse response is
+delta-free, additionally gets a direct time-integral check, its samples
+formed the same way.
 `oracle_checks` runs every comparison at fixed geometries and yields one
 (name, ok, detail) record per check, with `ok` a plain bool; `rclink verify`
 prints them.
@@ -47,6 +51,19 @@ def _require_series_args(omega: complex, x: float, terms: int):
         raise ValueError("terms must be an int of at least 1")
 
 
+def _powers(phase: complex, n: int) -> np.ndarray:
+    """exp(-1j*phase*m) for m = 0..n-1, each term a product of two table entries.
+
+    With b = isqrt(n - 1) + 1 and m = b*j + k (0 <= j, k < b), the term is
+    exp(-1j*phase*b*j) * exp(-1j*phase*k): a b-by-b outer product of two
+    b-entry tables, raveled and cut to n.  Term 0 is exactly 1.
+    """
+    b = math.isqrt(n - 1) + 1
+    z = -1j * phase
+    k = np.arange(b)
+    return np.multiply.outer(np.exp(z * (b * k)), np.exp(z * k)).ravel()[:n]
+
+
 def open_line_series_vi(
     model: TLineOpenEnds, omega: complex, x: float, terms: int
 ) -> tuple[complex, complex]:
@@ -54,14 +71,17 @@ def open_line_series_vi(
 
     Each reflection pair contributes one right-going and one left-going
     exponential; the voltage reflection coefficient at the open ends is +1,
-    the current coefficient -1.
+    the current coefficient -1.  Both trains share the round-trip factor:
+    fwd_m = exp(-i*omega*x/c0) * q^m and bwd_m = exp(i*omega*(x-2L)/c0) * q^m,
+    with q^m = exp(-2i*omega*L*m/c0), so each is its first term times the
+    truncated train sum_{m<terms} q^m.
     """
     _require_series_args(omega, x, terms)
     c0, length, z0 = model.wave_speed, model.length, model.char_impedance
-    m = np.arange(terms)
-    fwd = np.exp(-1j * omega * (x + 2 * length * m) / c0)
-    bwd = np.exp(1j * omega * (x - 2 * length * (m + 1)) / c0)
-    return complex(z0 * (fwd + bwd).sum()), complex((fwd - bwd).sum())
+    train = complex(_powers(omega * 2 * length / c0, terms).sum())
+    fwd = cmath.exp(-1j * omega * x / c0)
+    bwd = cmath.exp(1j * omega * (x - 2 * length) / c0)
+    return z0 * (fwd + bwd) * train, (fwd - bwd) * train
 
 
 def open_line_closed_vi(
@@ -100,7 +120,7 @@ def shorted_line_series_v(
         - fwd(x + xt)
         - bwd(x + xt - 2 * length)
     )
-    train = complex(np.exp(-1j * omega * (2 * length * np.arange(terms)) / c0).sum())
+    train = complex(_powers(omega * 2 * length / c0, terms).sum())
     return (z0 / 2) * (fwd(abs(x - xt)) + images * train)
 
 
@@ -123,7 +143,10 @@ def lc_transfer_from_impulse(
     """Transform of the LC impulse response by composite trapezoid on [0, horizon].
 
     Requires enough damping (horizon * |Im(omega)| >= 20) for the truncated
-    tail to be negligible, and dt fine relative to the resonance period.
+    tail to be negligible, and dt fine relative to the resonance period.  The
+    integrand cos(w0*t)/C * exp(-i*omega*t) is sampled at the n + 1 uniform
+    nodes t_k = k*horizon/n, n = ceil(horizon/dt), as the Euler sum
+    (exp(-i*(omega-w0)*t) + exp(-i*(omega+w0)*t)) / (2C).
     """
     _require_lower_half(omega)
     if not (0 < horizon < math.inf and 0 < dt < math.inf):
@@ -133,10 +156,10 @@ def lc_transfer_from_impulse(
     if horizon * abs(omega.imag) < 20:
         raise ValueError("horizon too short for the integrand tail to decay")
     n = int(math.ceil(horizon / dt))
-    t = np.linspace(0.0, horizon, n + 1)
-    w0 = model.resonance
-    integrand = (np.cos(w0 * t) / model.capacitance) * np.exp(-1j * omega * t)
-    return complex(np.trapezoid(integrand, t))
+    step, w0 = horizon / n, model.resonance
+    y = _powers((omega - w0) * step, n + 1)
+    y += _powers((omega + w0) * step, n + 1)
+    return complex(step * (y.sum() - (y[0] + y[-1]) / 2) / (2 * model.capacitance))
 
 
 def lc_transfer_closed(model: LcParallel, omega: complex) -> complex:

@@ -44,7 +44,8 @@ class FrequencyGrid:
     The grid belongs to the channel it was built for: `sample` holds that
     channel's receive-side reactances at the nodes, num_r, num_rt and denom,
     equal bit for bit to eval_reactances(channel, nodes).  Its num_t is None,
-    as no functional of a current-driven transmit port reads Z_T.
+    as no functional of a current-driven transmit port reads Z_T.  Every
+    array of the grid and of its sample is read-only.
     """
 
     nodes: np.ndarray  # rad/s, strictly increasing
@@ -106,6 +107,8 @@ def build_grid(
     nodes[pole_idx] = poles
     weights = _trapezoid_weights(nodes)
     s = eval_reactances(model, nodes)
+    for a in (nodes, weights, pole_idx, s.num_r, s.num_rt, s.denom):
+        a.setflags(write=False)  # a write would change every later result on the grid
     return FrequencyGrid(nodes, weights, pole_idx, model,
                          ReactanceSample(None, s.num_r, s.num_rt, s.denom))
 

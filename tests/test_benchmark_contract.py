@@ -5,6 +5,8 @@ perfbench/ drives rclink through public names (``waterfill.build_grid``,
 traced job per workload, cycle 0 of seed 1, catches a library change that
 would make every benchmark job fail.  A tline_scan job samples its channel
 once, in ``build_grid``; the solvers and the lower bound read the grid.
+A verify_oracles job sums every term and sample its checks name, so a speedup
+cannot come from shortening the oracles.
 """
 
 import sys
@@ -37,3 +39,13 @@ def test_tline_scan_evaluates_the_channel_once(tmp_path):
     with spans.installed(tracer):
         workload.run(workload.cycle(0)[0])
     assert tracer.counts["channels.eval_reactances.calls"] == 1
+
+
+def test_verify_oracles_keeps_every_term(tmp_path):
+    workload = workloads.WORKLOADS["verify_oracles"](1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        workload.run(workload.cycle(0)[0])
+    assert tracer.counts["timedomain.shorted_line_series_v.terms"] == 800_000
+    assert tracer.counts["timedomain.lc_transfer_from_impulse.samples"] == 252_502
+    assert tracer.counts["timedomain.open_line_series_vi.terms"] == 1_280

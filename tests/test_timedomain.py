@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclink import TLineOpenEnds
 from rclink.channels import eval_reactances
 from rclink.timedomain import (
+    _powers,
     lc_transfer_closed,
     lc_transfer_from_impulse,
     oracle_checks,
@@ -76,6 +79,28 @@ class TestAgainstReferenceLoop:
         omega = complex(3.7 * C0_OVER_L, -0.5 * C0_OVER_L)
         assert (open_line_series_vi(OPEN_LINE, omega, 1.0, np.int64(8))
                 == open_line_series_vi(OPEN_LINE, omega, 1.0, 8))
+
+
+EPS = np.finfo(float).eps
+# train lengths that land on and just past a full table square, besides any
+N_TERMS = st.one_of(
+    st.sampled_from([1, 2]),
+    st.integers(1, 223).flatmap(lambda r: st.sampled_from([r * r, r * r + 1])),
+    st.integers(1, 50_000),
+)
+PHASES = st.builds(complex, st.floats(-50.0, 50.0), st.floats(-1e-2, 0.0))
+
+
+class TestPowers:
+    @settings(max_examples=200, deadline=None)
+    @given(phase=PHASES, n=N_TERMS)
+    def test_matches_direct_exponentials(self, phase, n):
+        p = _powers(phase, n)
+        assert p.shape == (n,)
+        assert p[0] == 1
+        m = np.arange(n)
+        direct = np.exp(-1j * phase * m)
+        assert np.all(np.abs(p - direct) <= 8 * EPS * (1 + abs(phase) * m) * np.abs(direct))
 
 
 W_OK = complex(3.7 * C0_OVER_L, -0.5 * C0_OVER_L)
@@ -265,6 +290,19 @@ class TestLcTransfer:
         short = lc_transfer_from_impulse(LC_MODEL, omega, 41 / self.W0, 0.005 / self.W0)
         tail = math.exp(omega.imag * 41 / self.W0) / (abs(omega.imag) * LC_MODEL.capacitance)
         assert abs(full - short) <= 2 * tail
+
+    # the check frequencies; the near-resonance one runs at the check's own
+    # horizon of 25/|Im(omega)|, as 25/w0 is refused as too short there
+    @pytest.mark.parametrize("omega, horizon", [(W0 * complex(1, -0.01), 2500 / W0),
+                                                (complex(0, -W0), 25 / W0)],
+                             ids=["near-resonance", "imaginary-axis"])
+    def test_matches_linspace_trapezoid(self, omega, horizon):
+        dt = 0.01 / self.W0
+        t = np.linspace(0.0, horizon, math.ceil(horizon / dt) + 1)
+        integrand = (np.cos(self.W0 * t) / LC_MODEL.capacitance) * np.exp(-1j * omega * t)
+        expected = np.trapezoid(integrand, t)
+        approx = lc_transfer_from_impulse(LC_MODEL, omega, horizon, dt)
+        assert abs(approx - expected) <= 1e-12 * abs(expected)
 
     def test_rejects_coarse_dt(self):
         omega = complex(self.W0, -0.1 * self.W0)

@@ -117,8 +117,11 @@ class TestBuildGrid:
 class TestGridCarriesItsChannel:
     """A grid holds its channel's receive-side reactances; solvers read only them."""
 
-    @pytest.mark.parametrize("model", [LC_MODEL, TLineOpenEnds(50.0, 3.0e8, 75.0), TLINE_MODEL],
-                             ids=["lc", "open", "shorted"])
+    EVERY_KIND = pytest.mark.parametrize(
+        "model", [LC_MODEL, TLineOpenEnds(50.0, 3.0e8, 75.0), TLINE_MODEL],
+        ids=["lc", "open", "shorted"])
+
+    @EVERY_KIND
     def test_sample_is_the_channel_at_the_nodes(self, lc_band, tline_band, model):
         grid = build_grid(lc_band if model is LC_MODEL else tline_band, model, 512, 6)
         s = eval_reactances(model, grid.nodes)
@@ -126,6 +129,20 @@ class TestGridCarriesItsChannel:
         assert grid.sample.num_t is None
         for field in ("num_r", "num_rt", "denom"):
             assert getattr(grid.sample, field).tobytes() == getattr(s, field).tobytes()
+
+    @EVERY_KIND
+    def test_arrays_are_read_only(self, lc_band, tline_band, model):
+        # the LC sample holds one array as both num_r and num_rt, so a write
+        # into either would silently change every later result on the grid
+        grid = build_grid(lc_band if model is LC_MODEL else tline_band, model, 512, 6)
+        arrays = {"nodes": grid.nodes, "weights": grid.weights, "pole_nodes": grid.pole_nodes,
+                  "num_r": grid.sample.num_r, "num_rt": grid.sample.num_rt,
+                  "denom": grid.sample.denom}
+        for name, a in arrays.items():
+            before = a.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                a[:] = 0
+            assert a.tobytes() == before.tobytes(), name
 
     SOLVERS = {
         "solve-for-mu": lambda model, rx, grid, band: solve_for_mu(model, rx, grid, 1e15),
