@@ -26,10 +26,10 @@ from . import timedomain
 from .config import DEFAULT_CONFIG, ConfigError, RunConfig, load_document, parse_config
 from .linkmodel import (
     ReceiverParams,
+    _profile,
+    _transfer,
     capacity_lower_bound,
     capacity_upper_bound,
-    ratio_alpha_beta,
-    transfer_magnitude,
 )
 from .waterfill import FrequencyGrid, build_grid, solve_for_power, sweep
 
@@ -128,10 +128,10 @@ _COMMANDS = {
     "transfer": ("transfer magnitude vs frequency per load resistance", ("--rl",),
                  _curve(["omega_rad_s", "freq_ghz", "transfer_ohm"],
                         lambda sample, rx, nodes: [nodes, nodes / (2 * math.pi * 1e9),
-                                                   transfer_magnitude(sample, rx, nodes)])),
+                                                   _transfer(sample, rx)])),
     "ratio": ("alpha/beta ratio vs frequency per load resistance", ("--rl",),
               _curve(["omega_rad_s", "ratio"],
-                     lambda sample, rx, nodes: [nodes, ratio_alpha_beta(sample, rx, nodes)])),
+                     lambda sample, rx, nodes: [nodes, _profile(sample, rx).ratio])),
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
                   cmd_waterfill),
     "sweep": ("capacity vs power cross-plot over a multiplier range", ("--mu",), cmd_sweep),

@@ -5,9 +5,10 @@ terminated in a load resistor whose voltage is read by an infinite-impedance
 amplifier.  Noise enters as Johnson noise of the resistor (density
 2*k_B*T*R_L) and white amplifier noise (density Q_A).  All per-frequency
 functionals are computed from the rational reactance representation so they
-stay finite on the channel poles.  alpha, beta and alpha/beta are read from
-one per-node profile, which also marks where the channel couples; the module
-holds the one trapezoid rule, also used by `waterfill`.
+stay finite on the channel poles, and take a channel model, never a bare
+sample.  alpha/beta is read from one per-node profile, which also marks where
+the channel couples; only readers of beta form it, from the profile's load
+term.  The module holds the one trapezoid rule, also used by `waterfill`.
 """
 
 from __future__ import annotations
@@ -96,10 +97,10 @@ class OutputPsd(NamedTuple):
 
 
 def _sample(model, omega) -> ReactanceSample:
-    """`model`'s reactances at omega; a sample already taken there, such as the
-    one a grid carries, is read as it is."""
+    """`model`'s reactances at omega.  A bare sample is refused: it holds no
+    frequencies, so a read at any omega would answer at its own nodes."""
     if isinstance(model, ReactanceSample):
-        return model
+        raise ValueError("a reactance sample is not a channel model; pass the model and omega")
     return eval_reactances(model, omega)
 
 
@@ -112,56 +113,63 @@ def _noise(s: ReactanceSample, rx: ReceiverParams):
     return load, r2
 
 
-def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
-    """|V_R / I_T| = R_L |Z_RT| / |Z_R + R_L| in ohms, finite on poles."""
-    s = _sample(model, omega)
+def _transfer(s: ReactanceSample, rx: ReceiverParams):
+    """The transfer magnitude from a sample already taken, such as a grid's."""
     load, _ = _noise(s, rx)
     return rx.load_resistance * np.abs(s.num_rt) / np.sqrt(load)
 
 
+def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
+    """|V_R / I_T| = R_L |Z_RT| / |Z_R + R_L| in ohms, finite on poles."""
+    return _transfer(_sample(model, omega), rx)
+
+
 class _Profile(NamedTuple):
-    """beta and alpha/beta at every node, and where the channel couples.
+    """alpha/beta at every node, where the channel couples, and the two terms
+    `_beta` forms beta from; alpha itself is ratio * beta."""
 
-    alpha itself is ratio * beta; no solver needs it apart from the ratio.
-    """
-
-    beta: np.ndarray | float
     ratio: np.ndarray | float
     coupled: np.ndarray | bool  # False where the mutual reactance vanishes
+    num_rt: np.ndarray | float
+    load: np.ndarray | float  # num_r^2 + R_L^2 denom^2
 
 
-def _profile(model, rx: ReceiverParams, omega) -> _Profile:
-    """One reactance sample and one noise pass, each term dropped once read."""
-    s = _sample(model, omega)
+def _profile(s: ReactanceSample, rx: ReceiverParams) -> _Profile:
+    """The profile of a sample already taken; the Johnson term is dropped once read."""
     load, den = _noise(s, rx)
     den += rx.amp_noise_density * load  # Johnson plus amplifier noise
     # multiplied-out arrangement: no cancellation off-pole, finite on poles
     r = (rx.amp_gain**2 * rx.load_resistance / 2) * load
     r /= den
-    del den
-    coupled, b = s.num_rt != 0, s.num_rt**2
-    del s
-    b *= 2 * rx.load_resistance
-    b /= load
-    return _Profile(b, r, coupled)
+    return _Profile(r, s.num_rt != 0, s.num_rt, load)
+
+
+def _beta(num_rt, load, rx: ReceiverParams):
+    """beta = 2 R_L num_rt^2 / load, formed in the array num_rt, which it takes
+    over: a reader passes num_rt and load at just the nodes it reads."""
+    num_rt *= num_rt
+    num_rt *= 2 * rx.load_resistance
+    num_rt /= load
+    return num_rt
 
 
 def _grid_profile(model, rx: ReceiverParams, grid) -> _Profile:
     """The profile of the reactances `grid` carries; refuses another channel."""
     if model != grid.channel:
         raise ValueError("grid was built for another channel")
-    return _profile(grid.sample, rx, grid.nodes)
+    return _profile(grid.sample, rx)
 
 
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s), as ratio * beta."""
-    prof = _profile(model, rx, omega)
-    return prof.ratio * prof.beta
+    prof = _profile(_sample(model, omega), rx)
+    return prof.ratio * _beta(prof.num_rt, prof.load, rx)
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
     """Transmit power per unit transmit-current spectral density, ohms."""
-    return _profile(model, rx, omega).beta
+    s = _sample(model, omega)
+    return _beta(s.num_rt, _noise(s, rx)[0], rx)
 
 
 def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -173,7 +181,7 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
     of this quantity; a pole cancelled in Z_R, such as an even mode of a line
     whose receive tap sits at its middle, can be a local maximum.
     """
-    return _profile(model, rx, omega).ratio
+    return _profile(_sample(model, omega), rx).ratio
 
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
@@ -228,7 +236,7 @@ def capacity_lower_bound(
     if not 0 <= p_t < math.inf:
         raise ValueError("p_t must be nonnegative and finite")
     nodes, weights = np.asarray(grid.nodes), np.asarray(grid.weights)
-    ratio, coupled = _grid_profile(model, rx, grid)[1:]
+    ratio, coupled = _grid_profile(model, rx, grid)[:2]
     vals = np.where(coupled, np.log2(1 + p_t * ratio / band.bandwidth), 0.0)
     del ratio, coupled  # the every-other-node check below holds its own arrays
     result = float(np.sum(weights * vals) / (2 * math.pi))

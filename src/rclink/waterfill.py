@@ -3,10 +3,11 @@
 The capacity problem separates per frequency; the optimal transmit-current
 spectral density is 1/(mu*beta) - 1/alpha wherever positive, with the
 Lagrange multiplier mu set by the power budget.  The budget is inverted to
-mu exactly, with no tolerance: sorting the nodes by alpha/beta makes the
-budget at which each node joins the support a closed form in running sums,
-so one search finds the support.  Poles that the receive side sees are local
-minima of alpha/beta, so the optimal allocation avoids those resonances.
+mu exactly, with no tolerance and no sort: Newton steps on the water level
+drop only unpowered nodes, the level being a mediant of the true one and of
+lower ratios, and median splits keep the work linear.  Poles that the
+receive side sees are local minima of alpha/beta, so the optimal allocation
+avoids those resonances.
 
 A grid is built for one channel and carries that channel's receive-side
 reactances at its nodes, evaluated once.  Every solver profiles them through
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelModel, ReactanceSample, eval_reactances, poles_in_interval
-from .linkmodel import Band, ReceiverParams, _grid_profile, _Profile, _trapezoid_weights
+from .linkmodel import Band, ReceiverParams, _beta, _grid_profile, _Profile, _trapezoid_weights
 
 __all__ = [
     "FrequencyGrid",
@@ -94,8 +95,10 @@ def build_grid(
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
     poles = poles_in_interval(model, lo, hi)
-    offsets = (h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21)
-    extra = (poles[:, None] + offsets.ravel()).ravel()
+    # doubling is exact, so level l's even-k offsets repeat level l-1's bit for
+    # bit: 41 + 20*(levels-1) distinct offsets, and no duplicate node to sort
+    offsets = np.unique((h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21))
+    extra = (poles[:, None] + offsets).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
     del extra, offsets
@@ -121,14 +124,15 @@ def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGri
     return prof
 
 
-def _solve(profile: _Profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:
+def _solve(profile: _Profile, rx: ReceiverParams, grid: FrequencyGrid, mu: float
+           ) -> WaterfillSolution:
     support = profile.coupled & (profile.ratio > mu)
     w = grid.weights[support] / (2 * math.pi)
     capacity = float(np.sum(w * np.log2(profile.ratio[support] / mu)))
     density = 1 / mu - 1 / profile.ratio[support]  # s_it * beta, as alpha = ratio * beta
     power = float(np.sum(w * density))
     del w  # at most three support-sized arrays live beside the profile and the grid
-    density /= profile.beta[support]
+    density /= _beta(profile.num_rt[support], profile.load[support], rx)
     s_it = np.zeros_like(grid.nodes)
     s_it[support] = density
     return WaterfillSolution(mu, support, s_it, capacity, power)
@@ -140,7 +144,55 @@ def solve_for_mu(
     """Water-filling allocation for a given Lagrange multiplier mu > 0."""
     if not 0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
-    return _solve(_coupled_profile(model, rx, grid), grid, mu)
+    return _solve(_coupled_profile(model, rx, grid), rx, grid, mu)
+
+
+def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> float:
+    """The smallest ratio r in the water-filling support at budget p_t, of nodes
+    with ratios r and weights w (quadrature weight over 2 pi).
+
+    Newton in 1/mu: the level W / (p_t + V) of the candidates and the nodes
+    known to be powered (W and V the sums of w and w/r) is a mediant of the
+    true level and of the ratios of unpowered candidates, which lie at or
+    below it, so the level never exceeds the true one.  Each pass drops the
+    candidates at or below the level, none of them powered; a pass that
+    drops none leaves exactly the support.  After two passes in a row that
+    each keep over half the candidates, their median r_m is split off: if
+    its join budget W_above / r_m - V_above (sums over it, the nodes above it
+    and the known ones) is below p_t, it and every node above it are powered
+    and become known, otherwise it and every node below it are dropped.  So
+    the candidates halve at least every third step, O(n) work in all.  A
+    pass whose level rounds above every candidate splits too, so the top
+    node, whose join budget is 0, is always powered.
+    """
+    known_w = known_v = 0.0
+    floor = math.inf  # the smallest ratio known to be powered
+    slow = 0  # passes in a row that kept over half the candidates
+    while len(r):
+        level = (known_w + np.sum(w)) / (p_t + known_v + np.sum(w / r))
+        keep = r > level
+        kept = np.count_nonzero(keep)
+        if kept == len(r):
+            return min(floor, float(np.min(r)))
+        if kept:
+            slow = slow + 1 if 2 * kept > len(r) else 0
+            r = r[keep]
+            w = w[keep]
+            if slow < 2:
+                continue
+        slow, m = 0, len(r) // 2
+        part = np.argpartition(r, m)
+        r = r[part]
+        w = w[part]
+        del part
+        above_w = known_w + np.sum(w[m:])
+        above_v = known_v + np.sum(w[m:] / r[m:])
+        if above_w / r[m] - above_v < p_t:
+            known_w, known_v, floor = above_w, above_v, float(r[m])
+            r, w = r[:m], w[:m]
+        else:
+            r, w = r[m + 1:], w[m + 1:]
+    return floor
 
 
 def solve_for_power(
@@ -149,38 +201,25 @@ def solve_for_power(
     grid: FrequencyGrid,
     p_t: float,
 ) -> WaterfillSolution:
-    """Invert the power budget to mu exactly, by sorting the nodes on alpha/beta.
+    """Invert the power budget to mu exactly, with no tolerance and no sort.
 
-    With the coupled nodes in descending order of r = alpha/beta, and W_k and
-    V_k the running sums of w and w/r over the top k (w the quadrature weight
-    over 2 pi), node k+1 joins the support once the budget passes its join
-    budget W_k / r_{k+1} - V_k.  The join budgets rise with k, so one search
-    for p_t among them gives the support; past the last one it is the band.
+    `_water_floor` finds the support's smallest alpha/beta, r_k, by Newton
+    steps on the water level guarded by median splits.  The support is then
+    every coupled node with ratio >= r_k, and mu comes from plain sums over
+    it: W / (p_t + V), W and V the sums of w and w/r there (w the quadrature
+    weight over 2 pi).
     """
     if not 0 < p_t < math.inf:
         raise ValueError("p_t must be positive and finite")
     prof = _coupled_profile(model, rx, grid)
-    # built in place: the profile already holds several arrays of grid size
-    order = np.argsort(np.where(prof.coupled, prof.ratio, -np.inf))[::-1]
-    order = order[: np.count_nonzero(prof.coupled)]
-    r = prof.ratio[order]
-    w = grid.weights[order]
-    del order
-    w /= 2 * math.pi
-    joins = np.cumsum(w)[:-1]
-    joins /= r[1:]
-    joins -= np.cumsum(np.divide(w, r, out=w), out=w)[:-1]
-    r_k = float(r[np.searchsorted(joins, p_t)])
-    del w, joins, r
-    # the running sums fix the support; its level comes from plain sums over
-    # it, which do not accumulate roundoff along the sorted order
+    r_k = _water_floor(prof.ratio[prof.coupled], grid.weights[prof.coupled] / (2 * math.pi), p_t)
     support = prof.coupled & (prof.ratio >= r_k)
     w = grid.weights[support] / (2 * math.pi)
     mu = float(np.sum(w)) / (p_t + float(np.sum(w / prof.ratio[support])))
     del support, w
     # mu < r_k holds exactly; keep roundoff from emptying the support
     mu = min(mu, float(np.nextafter(r_k, 0)))
-    return _solve(prof, grid, mu)
+    return _solve(prof, rx, grid, mu)
 
 
 def sweep(
@@ -208,5 +247,5 @@ def sweep(
         raise ValueError("multipliers must be positive and finite")
     if any(b >= a for a, b in zip(mu_list, mu_list[1:])):
         raise ValueError("mu_list must be sorted descending")
-    points = [_solve(prof, grid, mu) for mu in mu_list if mu > mu_full]
-    return SweepResult(points, _solve(prof, grid, mu_full))
+    points = [_solve(prof, rx, grid, mu) for mu in mu_list if mu > mu_full]
+    return SweepResult(points, _solve(prof, rx, grid, mu_full))

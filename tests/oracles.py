@@ -3,8 +3,9 @@
 These deliberately avoid the rational-form code: the LC reactance comes from
 complex admittance inversion, the tapped-line mutual reactance from the
 distributed-voltage solution, the tapped-line numerators from their
-definition, two sines each, and capacity/power from a plain midpoint
-Riemann sum on a uniform grid.
+definition, two sines each, capacity/power from a plain midpoint Riemann
+sum on a uniform grid, the water level from a loop over the sorted nodes,
+and grid nodes from the refinement offsets with their duplicates.
 """
 
 import cmath
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 
+from rclink.channels import poles_in_interval
 from rclink.linkmodel import alpha, beta, ratio_alpha_beta
 
 
@@ -73,3 +75,20 @@ def water_level_by_loop(ratio, weights, p_t):
         sum_w_over_r += w / ratio[i]
         if k + 1 == len(order) or sum_w / (p_t + sum_w_over_r) >= ratio[order[k + 1]]:
             return ratio[i]
+
+
+def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
+    """waterfill.build_grid's nodes from every refinement offset k*h/2**l, |k| <= 20,
+    duplicates included, merged by one np.unique; then the same near-duplicate
+    drop and pole snap."""
+    lo, hi = band.lo, band.hi
+    h = (hi - lo) / (base_points - 1)
+    poles = poles_in_interval(model, lo, hi)
+    offsets = (h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21)
+    extra = (poles[:, None] + offsets.ravel()).ravel()
+    extra = extra[(extra >= lo) & (extra <= hi)]
+    nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
+    nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
+    right = np.clip(np.searchsorted(nodes, poles), 1, len(nodes) - 1)
+    nodes[right - (poles - nodes[right - 1] <= nodes[right] - poles)] = poles
+    return nodes

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -25,13 +26,23 @@ W0 = LC_MODEL.resonance
 KB = 1.38e-23
 
 
+@dataclass(frozen=True)
+class FixedSample:
+    """A channel whose reactances are one given sample at every omega."""
+
+    sample: ReactanceSample
+
+    def reactances(self, omega):
+        return self.sample
+
+
 class TestTransferMagnitude:
     def test_lc_pole_value_is_load_resistance(self, receiver):
         assert transfer_magnitude(LC_MODEL, receiver, W0) == pytest.approx(5e4, rel=1e-9)
 
     def test_zero_coupling(self, receiver):
         s = ReactanceSample(num_t=10.0, num_r=10.0, num_rt=0.0, denom=0.5)
-        assert transfer_magnitude(s, receiver, None) == 0.0
+        assert transfer_magnitude(FixedSample(s), receiver, 1.0) == 0.0
 
     def test_monotone_in_load_resistance(self):
         omega = 1.0e10  # off-pole
@@ -56,7 +67,7 @@ class TestAlphaBeta:
 
     def test_alpha_zero_coupling(self, receiver):
         s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2)
-        assert alpha(s, receiver, None) == 0.0
+        assert alpha(FixedSample(s), receiver, 1.0) == 0.0
 
     def test_beta_at_pole(self, receiver):
         assert beta(LC_MODEL, receiver, W0) == pytest.approx(1.0e5, rel=1e-9)
@@ -66,7 +77,7 @@ class TestAlphaBeta:
 
     def test_beta_zero_coupling(self, receiver):
         s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2)
-        assert beta(s, receiver, None) == 0.0
+        assert beta(FixedSample(s), receiver, 1.0) == 0.0
 
     @given(omega=st.floats(1e8, 1e11), rl=st.floats(1e2, 1e8))
     @settings(max_examples=300, deadline=None)
@@ -111,12 +122,9 @@ class TestRatio:
         scaled = ReactanceSample(
             s.num_t * scale, s.num_r * scale, s.num_rt * scale, s.denom * scale
         )
-        for fn in (alpha, beta, ratio_alpha_beta):
-            ref = fn(s, rx, None)
-            assert fn(scaled, rx, None) == pytest.approx(ref, rel=1e-12)
-        assert transfer_magnitude(scaled, rx, None) == pytest.approx(
-            transfer_magnitude(s, rx, None), rel=1e-12
-        )
+        for fn in (alpha, beta, ratio_alpha_beta, transfer_magnitude):
+            ref = fn(FixedSample(s), rx, omega)
+            assert fn(FixedSample(scaled), rx, omega) == pytest.approx(ref, rel=1e-12)
 
 
 class TestOutputPsd:
@@ -198,6 +206,25 @@ class TestCapacityBounds:
             grid = build_grid(lc_band, LC_MODEL, 512, 6)
             assert capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid) < \
                 capacity_upper_bound(rx, lc_band, POWER_W)
+
+
+# a bare sample holds no frequencies: read at other omega, it would answer at
+# its own nodes, so every public functional refuses it
+SAMPLE_READERS = {
+    "transfer-magnitude": lambda s, rx, omega: transfer_magnitude(s, rx, omega),
+    "alpha": lambda s, rx, omega: alpha(s, rx, omega),
+    "beta": lambda s, rx, omega: beta(s, rx, omega),
+    "ratio": lambda s, rx, omega: ratio_alpha_beta(s, rx, omega),
+    "output-psd": lambda s, rx, omega: output_psd(s, rx, omega, 0.0),
+}
+
+
+@pytest.mark.parametrize("call", SAMPLE_READERS.values(), ids=SAMPLE_READERS)
+def test_bare_sample_refused(lc_band, call):
+    grid = build_grid(lc_band, LC_MODEL, 512, 6)
+    for omega in (np.array([1.0]), grid.nodes):
+        with pytest.raises(ValueError, match="reactance sample is not a channel model"):
+            call(grid.sample, make_receiver(5e4), omega)
 
 
 class TestBandValidation:

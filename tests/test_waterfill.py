@@ -25,10 +25,11 @@ from rclink import (
     sweep,
 )
 from rclink.cli import main
+from rclink.waterfill import _water_floor
 from rclink.config import DEFAULT_TLINE_CHANNEL, default_config, serialize_config
 
 from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
-from oracles import riemann_capacity_power, water_level_by_loop
+from oracles import grid_nodes_by_full_broadcast, riemann_capacity_power, water_level_by_loop
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +395,102 @@ def assert_breakpoints_exact(model, rx, grid):
 @pytest.mark.parametrize("rl", [5e4, 5e5, 5e6])
 def test_lc_breakpoints_exact(lc_grid, rl):
     assert_breakpoints_exact(LC_MODEL, make_receiver(rl), lc_grid)
+
+
+class TestWaterFloor:
+    """`_water_floor`, the support's smallest ratio, against the running-level loop."""
+
+    @staticmethod
+    def join_budgets(r, weights):
+        """Each distinct ratio's join budget, sum of w (1/r_j - 1/r) over r > r_j:
+        positive terms, so exact to a few ulps."""
+        w = weights / (2 * math.pi)
+        return {float(r_j): float(np.sum(w[r > r_j] * (1 / r_j - 1 / r[r > r_j])))
+                for r_j in np.unique(r)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        levels=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=8, unique=True),
+        nodes=st.lists(st.tuples(st.integers(0, 7), st.floats(1e-3, 1e3)),
+                       min_size=1, max_size=60),
+        budget=st.sampled_from(["scaled", "breakpoint", "above-full-band"]),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_matches_the_loop(self, levels, nodes, budget, u):
+        r = np.array([levels[i % len(levels)] for i, _ in nodes])  # ratios repeat
+        weights = np.array([wt for _, wt in nodes])
+        joins = self.join_budgets(r, weights)
+        distinct = sorted(joins)
+        if budget == "scaled":
+            p_t = float(np.sum(weights / r)) * 10.0 ** (13 * u - 12)
+        elif budget == "breakpoint":
+            p_t = joins[distinct[min(int(u * len(distinct)), len(distinct) - 1)]]
+            if p_t == 0:  # the top ratio joins at any budget
+                return
+        else:
+            p_t = joins[distinct[0]] * (1 + u) + 1e-6 * float(np.sum(weights / r))
+        got = _water_floor(r.copy(), weights / (2 * math.pi), p_t)
+        expected = water_level_by_loop(r, weights, p_t)
+        if budget == "above-full-band":
+            assert got == expected == distinct[0]
+        elif got != expected:
+            # only a budget within roundoff of a join budget may tip the answer,
+            # and by one distinct ratio
+            lower, upper = sorted((got, expected))
+            assert distinct.index(upper) == distinct.index(lower) + 1
+            assert abs(joins[lower] - p_t) <= 1e-12 * p_t
+
+    def test_breakpoints_where_a_pass_drops_every_candidate(self, tline_band):
+        # the top ratios crowd under the Johnson-free ceiling g^2 R_L / (2 Q_A);
+        # at one breakpoint budget a Newton pass drops the one candidate left
+        # while the nodes above it are known to be powered.  Taking the dropped
+        # candidate, or the top one, as the floor put the level 1e-4 too low.
+        length = 2 * 3.0e8 / (2 * tline_band.bandwidth)
+        model = TLineShortedTapped(50.0, 3.0e8, length, 0.5 * length, 0.8359375 * length)
+        assert_breakpoints_exact(model, make_receiver(5e4), build_grid(tline_band, model, 16, 6))
+
+    def test_top_node_powered_when_the_level_rounds_above_it(self):
+        # 0.11 / (0.11 / 0.1) rounds to 0.1 + 2**-56, above both candidates
+        r, w = np.array([0.1, 0.05]), np.array([0.11, 0.11])
+        assert w[0] / (w[0] / r[0]) > r[0]
+        assert _water_floor(r, w, 1e-300) == 0.1
+        assert _water_floor(r[:1].copy(), w[:1].copy(), 1e-300) == 0.1
+
+    def test_median_guard_bounds_the_passes(self, monkeypatch):
+        # each Newton pass here drops only a few of the smallest ratios: Newton
+        # alone takes 78 passes, the median splits halve the candidates instead
+        n = 1000
+        i = np.arange(1, n + 1)
+        r, weights = 1.0 / i, 2.0 ** (i - 900.0) * (2 * math.pi)
+        passes = []
+        count_nonzero = np.count_nonzero
+        monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(1) or count_nonzero(a))
+        got = _water_floor(r.copy(), weights / (2 * math.pi), 1e-3)
+        monkeypatch.undo()
+        assert got == water_level_by_loop(r, weights, 1e-3)
+        assert len(passes) <= 2 * math.ceil(math.log2(n)) + 4
+
+
+class TestRefinementOffsets:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        poles=st.floats(0.5, 120.0),
+        taps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        points_per_pole=st.sampled_from([8, 12, 32]),
+        levels=st.integers(0, 8),
+    )
+    def test_distinct_offsets_give_the_same_nodes(self, tline_band, poles, taps,
+                                                 points_per_pole, levels):
+        # doubling is exact, so level l's even-k offsets are level l-1's
+        length = poles * 3.0e8 / (2 * tline_band.bandwidth)
+        model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
+        base_points = max(16, round(points_per_pole * poles))
+        grid = build_grid(tline_band, model, base_points, levels)
+        expected = grid_nodes_by_full_broadcast(tline_band, model, base_points, levels)
+        assert grid.nodes.tobytes() == expected.tobytes()
+        h = (tline_band.hi - tline_band.lo) / (base_points - 1)
+        table = (h / 2.0 ** np.arange(1, levels + 1))[:, None] * np.arange(-20, 21)
+        assert len(np.unique(table)) == (41 + 20 * (levels - 1) if levels else 0)
 
 
 class TestUncoupledChannel:
