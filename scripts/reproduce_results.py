@@ -8,6 +8,7 @@ and the reference spectral-efficiency table.
 Usage: python scripts/reproduce_results.py [outdir]
 """
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -46,5 +47,7 @@ def run(outdir: Path):
 
 
 if __name__ == "__main__":
-    target = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results")
-    sys.exit(run(target))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", nargs="?", type=Path, default=Path("results"),
+                        help="directory for the artifacts (default: results)")
+    sys.exit(run(parser.parse_args().outdir))

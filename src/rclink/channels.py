@@ -7,7 +7,9 @@ All three have purely imaginary impedance matrices whose entries share a
 common denominator that vanishes at the resonance frequencies.  Entries
 are therefore represented as (numerator, denominator) pairs so that
 evaluation stays finite on the poles and pole limits become plain
-arithmetic downstream.
+arithmetic downstream.  Only the receive-side entries Z_R and Z_RT are
+evaluated: the transmit port is driven by a current source, so Z_T enters
+no functional of the link.
 
 Each class owns its config name (`kind`), the JSON keys of its fields in
 field order (`keys`), `reactances(omega)` and `poles(lo, hi)`; a new kind is
@@ -36,17 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReactanceSample:
-    """Rational representation of the imaginary impedance entries at omega.
+    """Rational representation of the receive-side impedance entries at omega.
 
-    The reactances are recovered as Z_T'' = num_t/denom, Z_R'' = num_r/denom,
-    Z_RT'' = num_rt/denom wherever denom != 0.  All fields are finite at every
-    real omega, pole frequencies included.  Fields may be scalars or arrays,
-    following the shape of omega.  A grid's receive-side sample (see
-    waterfill.FrequencyGrid) has num_t None: the transmit port is current-driven,
-    so Z_T enters no functional of the link.
+    The reactances are recovered as Z_R'' = num_r/denom and Z_RT'' =
+    num_rt/denom wherever denom != 0.  All fields are finite at every real
+    omega, pole frequencies included.  Fields may be scalars or arrays,
+    following the shape of omega.
     """
 
-    num_t: np.ndarray | float | None  # ohm
     num_r: np.ndarray | float  # ohm
     num_rt: np.ndarray | float  # ohm
     denom: np.ndarray | float  # dimensionless
@@ -74,7 +73,7 @@ class LcParallel:
     def reactances(self, omega) -> ReactanceSample:
         num = omega * self.inductance
         denom = 1.0 - self.inductance * self.capacitance * omega**2
-        return ReactanceSample(num, num, num, denom)
+        return ReactanceSample(num, num, denom)
 
     def poles(self, lo: float, hi: float) -> np.ndarray:
         w0 = self.resonance
@@ -119,7 +118,7 @@ class TLineOpenEnds(_Line):
         denom = np.sin(kl)
         num_diag = -z0 * np.cos(kl)
         num_off = -z0 * np.ones_like(denom) if np.ndim(kl) else -z0
-        return ReactanceSample(num_diag, num_diag, num_off, denom)
+        return ReactanceSample(num_diag, num_off, denom)
 
 
 @dataclass(frozen=True)
@@ -145,19 +144,16 @@ class TLineShortedTapped(_Line):
         k = omega / self.wave_speed
         a, b = sorted((self.x_transmit, self.x_receive))
         # product form z0 sin(k p) sin(k (L - q)) for taps p <= q: exactly 0 for
-        # a tap on a shorted end, and exactly symmetric in the two taps.  The
-        # five distinct sines are taken one at a time and folded into their
-        # numerators in place: holding the four tap sines at once raised the
-        # peak memory of a 300k-node grid by half.
-        num_a = self.char_impedance * np.sin(k * a)
+        # a tap on a shorted end, and exactly symmetric in the two taps
+        num_rt = self.char_impedance * np.sin(k * a)
         sb = np.sin(k * (self.length - b))
-        num_rt = num_a * sb
-        num_a *= np.sin(k * (self.length - a))
-        num_b = self.char_impedance * np.sin(k * b)
-        num_b *= sb
+        if self.x_receive < self.x_transmit:
+            num_r = num_rt * np.sin(k * (self.length - a))
+        else:
+            num_r = self.char_impedance * np.sin(k * b) * sb
+        num_rt *= sb
         del sb
-        num_t, num_r = (num_a, num_b) if self.x_transmit <= self.x_receive else (num_b, num_a)
-        return ReactanceSample(num_t, num_r, num_rt, np.sin(k * self.length))
+        return ReactanceSample(num_r, num_rt, np.sin(k * self.length))
 
 
 ChannelModel = Union[LcParallel, TLineOpenEnds, TLineShortedTapped]
@@ -166,7 +162,7 @@ CHANNEL_KINDS = {cls.kind: cls for cls in (LcParallel, TLineOpenEnds, TLineShort
 
 
 def eval_reactances(model: ChannelModel, omega) -> ReactanceSample:
-    """Evaluate the three reactance entries of `model` at `omega` (rad/s).
+    """Evaluate the receive-side reactance entries of `model` at `omega` (rad/s).
 
     Accepts a scalar or ndarray of real frequencies; total on the real line.
     Refuses complex and non-finite omega, which every per-node functional reads
@@ -187,6 +183,6 @@ def poles_in_interval(model: ChannelModel, lo: float, hi: float) -> np.ndarray:
     pi*c0*l/length for integer l >= 0 (omega=0 counts as a pole for the lines
     but not for LC, where the numerator vanishes there too).
     """
-    if not (0 <= lo < hi):
-        raise ValueError("require 0 <= lo < hi")
+    if not (0 <= lo < hi < math.inf):
+        raise ValueError("require 0 <= lo < hi < inf")
     return model.poles(lo, hi)

@@ -42,11 +42,9 @@ _MAX_REFINE_LEVELS = 29  # h/2**30 is under the near-duplicate spacing h*1e-9
 class FrequencyGrid:
     """Trapezoidal quadrature nodes over a band, refined around channel poles.
 
-    The grid belongs to the channel it was built for: `sample` holds that
-    channel's receive-side reactances at the nodes, num_r, num_rt and denom,
-    equal bit for bit to eval_reactances(channel, nodes).  Its num_t is None,
-    as no functional of a current-driven transmit port reads Z_T.  Every
-    array of the grid and of its sample is read-only.
+    The grid belongs to the channel it was built for: `sample` is
+    eval_reactances(channel, nodes), that channel's receive-side reactances at
+    the nodes.  Every array of the grid and of its sample is read-only.
     """
 
     nodes: np.ndarray  # rad/s, strictly increasing
@@ -112,8 +110,7 @@ def build_grid(
     s = eval_reactances(model, nodes)
     for a in (nodes, weights, pole_idx, s.num_r, s.num_rt, s.denom):
         a.setflags(write=False)  # a write would change every later result on the grid
-    return FrequencyGrid(nodes, weights, pole_idx, model,
-                         ReactanceSample(None, s.num_r, s.num_rt, s.denom))
+    return FrequencyGrid(nodes, weights, pole_idx, model, s)
 
 
 def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> _Profile:
@@ -147,9 +144,10 @@ def solve_for_mu(
     return _solve(_coupled_profile(model, rx, grid), rx, grid, mu)
 
 
-def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> float:
+def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> tuple[float, float]:
     """The smallest ratio r in the water-filling support at budget p_t, of nodes
-    with ratios r and weights w (quadrature weight over 2 pi).
+    with ratios r and weights w (quadrature weight over 2 pi), and the water
+    level mu = W / (p_t + V) over that support.
 
     Newton in 1/mu: the level W / (p_t + V) of the candidates and the nodes
     known to be powered (W and V the sums of w and w/r) is a mediant of the
@@ -163,7 +161,9 @@ def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> float:
     and become known, otherwise it and every node below it are dropped.  So
     the candidates halve at least every third step, O(n) work in all.  A
     pass whose level rounds above every candidate splits too, so the top
-    node, whose join budget is 0, is always powered.
+    node, whose join budget is 0, is always powered.  The last pass's level is
+    mu, as its candidates and the known nodes are the support; when splits
+    use up the candidates, the known nodes are.
     """
     known_w = known_v = 0.0
     floor = math.inf  # the smallest ratio known to be powered
@@ -173,7 +173,7 @@ def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> float:
         keep = r > level
         kept = np.count_nonzero(keep)
         if kept == len(r):
-            return min(floor, float(np.min(r)))
+            return min(floor, float(np.min(r))), float(level)
         if kept:
             slow = slow + 1 if 2 * kept > len(r) else 0
             r = r[keep]
@@ -192,7 +192,7 @@ def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> float:
             r, w = r[:m], w[:m]
         else:
             r, w = r[m + 1:], w[m + 1:]
-    return floor
+    return floor, float(known_w / (p_t + known_v))
 
 
 def solve_for_power(
@@ -204,19 +204,15 @@ def solve_for_power(
     """Invert the power budget to mu exactly, with no tolerance and no sort.
 
     `_water_floor` finds the support's smallest alpha/beta, r_k, by Newton
-    steps on the water level guarded by median splits.  The support is then
-    every coupled node with ratio >= r_k, and mu comes from plain sums over
-    it: W / (p_t + V), W and V the sums of w and w/r there (w the quadrature
-    weight over 2 pi).
+    steps on the water level guarded by median splits, and returns with it
+    the level it ended on: mu = W / (p_t + V), W and V the sums of w and w/r
+    over the support (w the quadrature weight over 2 pi).
     """
     if not 0 < p_t < math.inf:
         raise ValueError("p_t must be positive and finite")
     prof = _coupled_profile(model, rx, grid)
-    r_k = _water_floor(prof.ratio[prof.coupled], grid.weights[prof.coupled] / (2 * math.pi), p_t)
-    support = prof.coupled & (prof.ratio >= r_k)
-    w = grid.weights[support] / (2 * math.pi)
-    mu = float(np.sum(w)) / (p_t + float(np.sum(w / prof.ratio[support])))
-    del support, w
+    r_k, mu = _water_floor(prof.ratio[prof.coupled], grid.weights[prof.coupled] / (2 * math.pi),
+                           p_t)
     # mu < r_k holds exactly; keep roundoff from emptying the support
     mu = min(mu, float(np.nextafter(r_k, 0)))
     return _solve(prof, rx, grid, mu)

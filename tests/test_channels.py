@@ -28,11 +28,11 @@ TAP = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
 class TestEvalReactances:
     def test_lc_example(self):
         s = eval_reactances(LC_MODEL, 1.0e10)
-        assert s.num_t == pytest.approx(47.0)
+        assert s.num_r == pytest.approx(47.0)
         assert s.denom == pytest.approx(0.718)
-        assert s.num_t / s.denom == pytest.approx(65.4596, rel=1e-4)
-        # all three entries of the LC matrix are equal
-        assert s.num_r == s.num_t == s.num_rt
+        assert s.num_r / s.denom == pytest.approx(65.4596, rel=1e-4)
+        # all entries of the LC matrix are equal
+        assert s.num_r == s.num_rt
 
     def test_shorted_tap_at_short_kills_coupling(self):
         model = TLineShortedTapped(50.0, 3.0e8, 75.0, 0.0, 40.0)
@@ -42,7 +42,7 @@ class TestEvalReactances:
     def test_open_line_quarter_wave(self):
         omega = math.pi * OPEN_LINE.wave_speed / (2 * OPEN_LINE.length)
         s = eval_reactances(OPEN_LINE, omega)
-        assert s.num_t / s.denom == pytest.approx(0.0, abs=1e-12)
+        assert s.num_r / s.denom == pytest.approx(0.0, abs=1e-12)
         assert s.num_rt / s.denom == pytest.approx(-50.0)
 
     def test_lc_oracle_equivalence(self):
@@ -73,8 +73,18 @@ class TestEvalReactances:
             if len(poles) == 0:
                 continue
             s = eval_reactances(model, poles)
-            for field in (s.num_t, s.num_r, s.num_rt, s.denom):
+            for field in (s.num_r, s.num_rt, s.denom):
                 assert np.all(np.isfinite(field))
+
+    @pytest.mark.parametrize("taps", [(10.0, 40.0), (40.0, 10.0), (30.0, 30.0)])
+    @pytest.mark.parametrize("omega", [1e9, np.linspace(1e8, 1e10, 64)], ids=["scalar", "array"])
+    def test_shorted_line_takes_four_sines(self, monkeypatch, taps, omega):
+        calls = []
+        sin = np.sin
+        monkeypatch.setattr(np, "sin", lambda x: calls.append(1) or sin(x))
+        eval_reactances(TLineShortedTapped(50.0, 3.0e8, 75.0, *taps), omega)
+        monkeypatch.undo()
+        assert len(calls) == 4
 
     @given(
         xt=st.floats(0.0, 75.0),
@@ -106,25 +116,24 @@ class TestEvalReactances:
     )
     @settings(max_examples=200, deadline=None)
     def test_shorted_numerators_exact(self, length, taps, seed):
-        """The five shared sines give each numerator exactly as its own two sines
-        do.  Swapping the taps swaps num_t and num_r and keeps num_rt; a tap on an
-        end gives num_rt = 0, and coincident taps three equal numerators."""
+        """The four shared sines give each numerator exactly as its own two sines
+        do.  Swapping the taps makes num_r the transmit tap's own numerator and
+        keeps num_rt; a tap on an end gives num_rt = 0, and coincident taps equal
+        numerators."""
         xt, xr = (f * length for f in taps)
         model = TLineShortedTapped(50.0, 3.0e8, length, xt, xr)
         swapped = TLineShortedTapped(50.0, 3.0e8, length, xr, xt)
         omegas = np.random.default_rng(seed).uniform(0.0, 1e11, 64)
         for omega in (omegas, float(omegas[0])):
             s, t = eval_reactances(model, omega), eval_reactances(swapped, omega)
-            for got, want in zip((s.num_t, s.num_r, s.num_rt),
-                                 shorted_numerators_by_definition(model, omega)):
-                np.testing.assert_array_equal(got, want)
+            num_t, num_r, num_rt = shorted_numerators_by_definition(model, omega)
+            np.testing.assert_array_equal(s.num_r, num_r)
+            np.testing.assert_array_equal(s.num_rt, num_rt)
             np.testing.assert_array_equal(t.num_rt, s.num_rt)
-            np.testing.assert_array_equal(t.num_t, s.num_r)
-            np.testing.assert_array_equal(t.num_r, s.num_t)
+            np.testing.assert_array_equal(t.num_r, num_t)
             if {xt, xr} & {0.0, length}:
                 assert np.all(s.num_rt == 0.0)
             if xt == xr:
-                np.testing.assert_array_equal(s.num_t, s.num_rt)
                 np.testing.assert_array_equal(s.num_r, s.num_rt)
 
 
@@ -155,6 +164,14 @@ class TestPoles:
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             poles_in_interval(LC_MODEL, 2e10, 1e10)
+
+    # a line's pole ladder would count up to an infinite hi
+    @pytest.mark.parametrize("model", [LC_MODEL, OPEN_LINE], ids=["lc", "line"])
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (2.0, 1.0), (math.nan, 1.0),
+                                        (0.0, math.nan), (0.0, math.inf)])
+    def test_interval_refused(self, model, lo, hi):
+        with pytest.raises(ValueError, match="require 0 <= lo < hi < inf"):
+            poles_in_interval(model, lo, hi)
 
 
 class TestValidation:
@@ -190,4 +207,4 @@ class TestValidation:
     def test_coincident_taps_allowed(self):
         model = TLineShortedTapped(50.0, 3e8, 75.0, 30.0, 30.0)
         s = eval_reactances(model, 1e9)
-        assert s.num_rt == s.num_t
+        assert s.num_rt == s.num_r

@@ -581,8 +581,20 @@ class TestReadme:
 
 
 class TestReproduceScript:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"
+
+    def test_help_writes_nothing(self, tmp_path):
+        src = str(self.SCRIPT.parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        run = subprocess.run([sys.executable, str(self.SCRIPT), "--help"], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("usage:")
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_artifact_rerun_identical(self, tmp_path):
-        script = Path(__file__).parents[1] / "scripts" / "reproduce_results.py"
+        script = self.SCRIPT
         spec = importlib.util.spec_from_file_location("reproduce_results", script)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)

@@ -41,7 +41,7 @@ class TestTransferMagnitude:
         assert transfer_magnitude(LC_MODEL, receiver, W0) == pytest.approx(5e4, rel=1e-9)
 
     def test_zero_coupling(self, receiver):
-        s = ReactanceSample(num_t=10.0, num_r=10.0, num_rt=0.0, denom=0.5)
+        s = ReactanceSample(num_r=10.0, num_rt=0.0, denom=0.5)
         assert transfer_magnitude(FixedSample(s), receiver, 1.0) == 0.0
 
     def test_monotone_in_load_resistance(self):
@@ -66,7 +66,7 @@ class TestAlphaBeta:
             ReceiverParams(5e4, 100.0, 0.0, 0.0)
 
     def test_alpha_zero_coupling(self, receiver):
-        s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2)
+        s = ReactanceSample(num_r=3.0, num_rt=0.0, denom=0.2)
         assert alpha(FixedSample(s), receiver, 1.0) == 0.0
 
     def test_beta_at_pole(self, receiver):
@@ -76,7 +76,7 @@ class TestAlphaBeta:
         assert beta(LC_MODEL, receiver, 1.0e10) == pytest.approx(0.17140, rel=1e-4)
 
     def test_beta_zero_coupling(self, receiver):
-        s = ReactanceSample(num_t=3.0, num_r=3.0, num_rt=0.0, denom=0.2)
+        s = ReactanceSample(num_r=3.0, num_rt=0.0, denom=0.2)
         assert beta(FixedSample(s), receiver, 1.0) == 0.0
 
     @given(omega=st.floats(1e8, 1e11), rl=st.floats(1e2, 1e8))
@@ -119,9 +119,7 @@ class TestRatio:
     def test_rational_form_scaling_invariance(self, scale, omega):
         rx = make_receiver(5e4)
         s = eval_reactances(LC_MODEL, omega)
-        scaled = ReactanceSample(
-            s.num_t * scale, s.num_r * scale, s.num_rt * scale, s.denom * scale
-        )
+        scaled = ReactanceSample(s.num_r * scale, s.num_rt * scale, s.denom * scale)
         for fn in (alpha, beta, ratio_alpha_beta, transfer_magnitude):
             ref = fn(FixedSample(s), rx, omega)
             assert fn(FixedSample(scaled), rx, omega) == pytest.approx(ref, rel=1e-12)

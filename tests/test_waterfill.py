@@ -127,7 +127,6 @@ class TestGridCarriesItsChannel:
         grid = build_grid(lc_band if model is LC_MODEL else tline_band, model, 512, 6)
         s = eval_reactances(model, grid.nodes)
         assert grid.channel is model
-        assert grid.sample.num_t is None
         for field in ("num_r", "num_rt", "denom"):
             assert getattr(grid.sample, field).tobytes() == getattr(s, field).tobytes()
 
@@ -338,6 +337,7 @@ class TestRandomShortedLines:
         assert abs(sol.power - p_t) / p_t <= 1e-12
         level = water_level_by_loop(r[valid], grid.weights[valid], p_t)
         np.testing.assert_array_equal(sol.support_mask, valid & (r >= level))
+        assert_plain_sum_level(sol.mu, r, grid.weights, p_t, sol.support_mask)
         # the water level is the budget's inverse: power falls through p_t at mu
         assert solve_for_mu(model, rx, grid, sol.mu * (1 + 1e-9)).power < p_t
         assert solve_for_mu(model, rx, grid, sol.mu * (1 - 1e-9)).power > p_t
@@ -361,6 +361,14 @@ class TestRandomShortedLines:
         model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
         grid = build_grid(tline_band, model, max(16, round(points_per_pole * poles)), 6)
         assert_breakpoints_exact(model, make_receiver(rl), grid)
+
+
+def assert_plain_sum_level(mu, ratio, weights, p_t, support):
+    """mu is within a few ulps of W / (p_t + V) summed plainly over `support`:
+    both are sums of the same positive terms, accumulated in another order."""
+    w = weights[support] / (2 * math.pi)
+    plain = np.sum(w) / (p_t + np.sum(w / ratio[support]))
+    assert abs(mu - plain) <= 8 * np.spacing(plain)
 
 
 def assert_breakpoints_exact(model, rx, grid):
@@ -429,7 +437,8 @@ class TestWaterFloor:
                 return
         else:
             p_t = joins[distinct[0]] * (1 + u) + 1e-6 * float(np.sum(weights / r))
-        got = _water_floor(r.copy(), weights / (2 * math.pi), p_t)
+        got, mu = _water_floor(r.copy(), weights / (2 * math.pi), p_t)
+        assert_plain_sum_level(mu, r, weights, p_t, r >= got)
         expected = water_level_by_loop(r, weights, p_t)
         if budget == "above-full-band":
             assert got == expected == distinct[0]
@@ -453,8 +462,8 @@ class TestWaterFloor:
         # 0.11 / (0.11 / 0.1) rounds to 0.1 + 2**-56, above both candidates
         r, w = np.array([0.1, 0.05]), np.array([0.11, 0.11])
         assert w[0] / (w[0] / r[0]) > r[0]
-        assert _water_floor(r, w, 1e-300) == 0.1
-        assert _water_floor(r[:1].copy(), w[:1].copy(), 1e-300) == 0.1
+        assert _water_floor(r, w, 1e-300)[0] == 0.1
+        assert _water_floor(r[:1].copy(), w[:1].copy(), 1e-300)[0] == 0.1
 
     def test_median_guard_bounds_the_passes(self, monkeypatch):
         # each Newton pass here drops only a few of the smallest ratios: Newton
@@ -465,9 +474,10 @@ class TestWaterFloor:
         passes = []
         count_nonzero = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(1) or count_nonzero(a))
-        got = _water_floor(r.copy(), weights / (2 * math.pi), 1e-3)
+        got, mu = _water_floor(r.copy(), weights / (2 * math.pi), 1e-3)
         monkeypatch.undo()
         assert got == water_level_by_loop(r, weights, 1e-3)
+        assert_plain_sum_level(mu, r, weights, 1e-3, r >= got)
         assert len(passes) <= 2 * math.ceil(math.log2(n)) + 4
 
 
