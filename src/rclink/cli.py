@@ -26,10 +26,10 @@ from . import timedomain
 from .config import DEFAULT_CONFIG, ConfigError, RunConfig, load_document, parse_config
 from .linkmodel import (
     ReceiverParams,
-    _profile,
-    _transfer,
     capacity_lower_bound,
     capacity_upper_bound,
+    ratio_alpha_beta,
+    transfer_magnitude,
 )
 from .waterfill import FrequencyGrid, build_grid, solve_for_power, sweep
 
@@ -73,13 +73,13 @@ def _receivers(config: RunConfig) -> list[tuple[float, ReceiverParams]]:
 
 
 def _curve(header: list[str], columns):
-    """A command giving one CSV per load resistance of columns(sample, rx, nodes),
-    with the receive-side sample that the grid carries, so no R_L re-evaluates
-    the channel."""
+    """A command giving one CSV per load resistance of columns(model, rx, grid),
+    whose functionals read the reactances the grid carries, so no R_L
+    re-evaluates the channel."""
     def fn(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
         stem, ext = os.path.splitext(out)
         return [(f"{stem}_rl{rl:g}{ext or '.csv'}",
-                 _csv(header, columns(grid.sample, rx, grid.nodes)))
+                 _csv(header, columns(config.channel, rx, grid)))
                 for rl, rx in _receivers(config)]
     return fn
 
@@ -127,11 +127,11 @@ def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[s
 _COMMANDS = {
     "transfer": ("transfer magnitude vs frequency per load resistance", ("--rl",),
                  _curve(["omega_rad_s", "freq_ghz", "transfer_ohm"],
-                        lambda sample, rx, nodes: [nodes, nodes / (2 * math.pi * 1e9),
-                                                   _transfer(sample, rx)])),
+                        lambda model, rx, grid: [grid.nodes, grid.nodes / (2 * math.pi * 1e9),
+                                                 transfer_magnitude(model, rx, grid)])),
     "ratio": ("alpha/beta ratio vs frequency per load resistance", ("--rl",),
               _curve(["omega_rad_s", "ratio"],
-                     lambda sample, rx, nodes: [nodes, _profile(sample, rx).ratio])),
+                     lambda model, rx, grid: [grid.nodes, ratio_alpha_beta(model, rx, grid)])),
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
                   cmd_waterfill),
     "sweep": ("capacity vs power cross-plot over a multiplier range", ("--mu",), cmd_sweep),

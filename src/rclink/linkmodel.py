@@ -6,9 +6,11 @@ amplifier.  Noise enters as Johnson noise of the resistor (density
 2*k_B*T*R_L) and white amplifier noise (density Q_A).  All per-frequency
 functionals are computed from the rational reactance representation so they
 stay finite on the channel poles, and take a channel model, never a bare
-sample.  alpha/beta is read from one per-node profile, which also marks where
+sample, at omega or on a `FrequencyGrid` built for it, whose reactances they
+read.  alpha/beta is read from one per-node profile, which also marks where
 the channel couples; only readers of beta form it, from the profile's load
-term.  The module holds the one trapezoid rule, also used by `waterfill`.
+term.  The module holds the grid type and the one trapezoid rule, both also
+used by `waterfill`.
 """
 
 from __future__ import annotations
@@ -96,11 +98,31 @@ class OutputPsd(NamedTuple):
         return self.signal + self.johnson + self.amplifier
 
 
+@dataclass(frozen=True)
+class FrequencyGrid:
+    """Trapezoidal quadrature nodes over a band, refined around channel poles.
+
+    The grid belongs to the channel it was built for: `sample` is
+    eval_reactances(channel, nodes), that channel's receive-side reactances at
+    the nodes.  Every array of the grid and of its sample is read-only.
+    """
+
+    nodes: np.ndarray  # rad/s, strictly increasing
+    weights: np.ndarray  # rad/s, positive, summing to the band span
+    pole_nodes: np.ndarray  # indices of nodes sitting exactly on poles
+    channel: ChannelModel  # the model the grid was built for
+    sample: ReactanceSample  # its receive-side reactances at the nodes
+
+
 def _sample(model, omega) -> ReactanceSample:
-    """`model`'s reactances at omega.  A bare sample is refused: it holds no
-    frequencies, so a read at any omega would answer at its own nodes."""
+    """`model`'s reactances at omega, or those a grid built for `model` carries.
+    A bare sample is refused: at any omega it would answer at its own nodes."""
     if isinstance(model, ReactanceSample):
         raise ValueError("a reactance sample is not a channel model; pass the model and omega")
+    if isinstance(omega, FrequencyGrid):
+        if model != omega.channel:
+            raise ValueError("grid was built for another channel")
+        return omega.sample
     return eval_reactances(model, omega)
 
 
@@ -113,15 +135,10 @@ def _noise(s: ReactanceSample, rx: ReceiverParams):
     return load, r2
 
 
-def _transfer(s: ReactanceSample, rx: ReceiverParams):
-    """The transfer magnitude from a sample already taken, such as a grid's."""
-    load, _ = _noise(s, rx)
-    return rx.load_resistance * np.abs(s.num_rt) / np.sqrt(load)
-
-
 def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
     """|V_R / I_T| = R_L |Z_RT| / |Z_R + R_L| in ohms, finite on poles."""
-    return _transfer(_sample(model, omega), rx)
+    s = _sample(model, omega)
+    return rx.load_resistance * np.abs(s.num_rt) / np.sqrt(_noise(s, rx)[0])
 
 
 class _Profile(NamedTuple):
@@ -144,32 +161,25 @@ def _profile(s: ReactanceSample, rx: ReceiverParams) -> _Profile:
     return _Profile(r, s.num_rt != 0, s.num_rt, load)
 
 
-def _beta(num_rt, load, rx: ReceiverParams):
-    """beta = 2 R_L num_rt^2 / load, formed in the array num_rt, which it takes
-    over: a reader passes num_rt and load at just the nodes it reads."""
-    num_rt *= num_rt
-    num_rt *= 2 * rx.load_resistance
-    num_rt /= load
-    return num_rt
-
-
-def _grid_profile(model, rx: ReceiverParams, grid) -> _Profile:
-    """The profile of the reactances `grid` carries; refuses another channel."""
-    if model != grid.channel:
-        raise ValueError("grid was built for another channel")
-    return _profile(grid.sample, rx)
+def _beta(rt2, load, rx: ReceiverParams):
+    """beta = 2 R_L num_rt^2 / load, formed in rt2 = np.square(num_rt), which it
+    takes over, so a grid's arrays are never written: a reader passes num_rt^2
+    and load at just the nodes it reads."""
+    rt2 *= 2 * rx.load_resistance
+    rt2 /= load
+    return rt2
 
 
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s), as ratio * beta."""
     prof = _profile(_sample(model, omega), rx)
-    return prof.ratio * _beta(prof.num_rt, prof.load, rx)
+    return prof.ratio * _beta(np.square(prof.num_rt), prof.load, rx)
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
     """Transmit power per unit transmit-current spectral density, ohms."""
     s = _sample(model, omega)
-    return _beta(s.num_rt, _noise(s, rx)[0], rx)
+    return _beta(np.square(s.num_rt), _noise(s, rx)[0], rx)
 
 
 def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -186,8 +196,8 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
     """Amplifier-output spectral density for transmit density s_it (A^2/Hz)."""
-    if np.any(np.asarray(s_it) < 0):
-        raise ValueError("s_it must be nonnegative")
+    if not np.all((0 <= np.asarray(s_it)) & (np.asarray(s_it) < math.inf)):
+        raise ValueError("s_it must be nonnegative and finite")
     s = _sample(model, omega)
     load, johnson = _noise(s, rx)
     signal = rx.amp_gain**2 * s.num_rt**2 * rx.load_resistance**2 * s_it / load
@@ -222,7 +232,7 @@ def capacity_lower_bound(
     rx: ReceiverParams,
     band: Band,
     p_t: float,
-    grid,
+    grid: FrequencyGrid,
 ) -> float:
     """Capacity of the flat-SNR (zero-temperature-optimal) transmit density.
 
@@ -235,13 +245,12 @@ def capacity_lower_bound(
     """
     if not 0 <= p_t < math.inf:
         raise ValueError("p_t must be nonnegative and finite")
-    nodes, weights = np.asarray(grid.nodes), np.asarray(grid.weights)
-    ratio, coupled = _grid_profile(model, rx, grid)[:2]
+    ratio, coupled = _profile(_sample(model, grid), rx)[:2]
     vals = np.where(coupled, np.log2(1 + p_t * ratio / band.bandwidth), 0.0)
     del ratio, coupled  # the every-other-node check below holds its own arrays
-    result = float(np.sum(weights * vals) / (2 * math.pi))
-    half = np.r_[0 : len(nodes) - 1 : 2, len(nodes) - 1]
-    coarse = float(np.sum(_trapezoid_weights(nodes[half]) * vals[half]) / (2 * math.pi))
+    result = float(np.sum(grid.weights * vals) / (2 * math.pi))
+    half = np.r_[0 : len(vals) - 1 : 2, len(vals) - 1]
+    coarse = float(np.sum(_trapezoid_weights(grid.nodes[half]) * vals[half]) / (2 * math.pi))
     if result != 0 and abs(result - coarse) > 1e-3 * abs(result):
         raise ValueError(
             "frequency grid too coarse for the lower-bound integral "

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelModel, ReactanceSample, eval_reactances, poles_in_interval
-from .linkmodel import Band, ReceiverParams, _beta, _grid_profile, _Profile, _trapezoid_weights
+from .channels import ChannelModel, eval_reactances, poles_in_interval
+from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _profile, _Profile, _sample,
+                        _trapezoid_weights)
 
 __all__ = [
     "FrequencyGrid",
@@ -36,22 +37,6 @@ __all__ = [
 ]
 
 _MAX_REFINE_LEVELS = 29  # h/2**30 is under the near-duplicate spacing h*1e-9
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """Trapezoidal quadrature nodes over a band, refined around channel poles.
-
-    The grid belongs to the channel it was built for: `sample` is
-    eval_reactances(channel, nodes), that channel's receive-side reactances at
-    the nodes.  Every array of the grid and of its sample is read-only.
-    """
-
-    nodes: np.ndarray  # rad/s, strictly increasing
-    weights: np.ndarray  # rad/s, positive, summing to the band span
-    pole_nodes: np.ndarray  # indices of nodes sitting exactly on poles
-    channel: ChannelModel  # the model the grid was built for
-    sample: ReactanceSample  # its receive-side reactances at the nodes
 
 
 @dataclass(frozen=True)
@@ -115,7 +100,7 @@ def build_grid(
 
 def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> _Profile:
     """The grid's profile; refuses another channel and one that couples at no node."""
-    prof = _grid_profile(model, rx, grid)
+    prof = _profile(_sample(model, grid), rx)
     if not np.any(prof.coupled):
         raise ValueError("channel has no coupling anywhere in the band")
     return prof
@@ -124,14 +109,19 @@ def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGri
 def _solve(profile: _Profile, rx: ReceiverParams, grid: FrequencyGrid, mu: float
            ) -> WaterfillSolution:
     support = profile.coupled & (profile.ratio > mu)
+    x = profile.ratio[support]
+    x -= mu  # exact near the level, where log2(ratio/mu) and 1/mu - 1/ratio lose digits
+    x /= mu
     w = grid.weights[support] / (2 * math.pi)
-    capacity = float(np.sum(w * np.log2(profile.ratio[support] / mu)))
-    density = 1 / mu - 1 / profile.ratio[support]  # s_it * beta, as alpha = ratio * beta
-    power = float(np.sum(w * density))
-    del w  # at most three support-sized arrays live beside the profile and the grid
-    density /= _beta(profile.num_rt[support], profile.load[support], rx)
+    t = np.log1p(x)  # ln(ratio / mu)
+    capacity = float(np.sum(np.multiply(t, w, out=t))) / math.log(2)
+    x /= np.add(x, 1, out=t)
+    x /= mu  # 1/mu - 1/ratio = s_it * beta, as alpha = ratio * beta
+    power = float(np.sum(np.multiply(w, x, out=t)))
+    del w, t  # at most three support-sized arrays live beside the profile and the grid
+    x /= _beta(np.square(profile.num_rt[support]), profile.load[support], rx)
     s_it = np.zeros_like(grid.nodes)
-    s_it[support] = density
+    s_it[support] = x
     return WaterfillSolution(mu, support, s_it, capacity, power)
 
 

@@ -5,8 +5,10 @@ perfbench/ drives rclink through public names (``waterfill.build_grid``,
 traced job per workload, cycle 0 of seed 1, catches a library change that
 would make every benchmark job fail.  A tline_scan job samples its channel
 once, in ``build_grid``; the solvers and the lower bound read the grid.
-A verify_oracles job sums every term and sample its checks name, so a speedup
-cannot come from shortening the oracles.
+A reproduce_cli job draws its transfer and ratio curves through the public
+functionals, one call per load resistance.  A verify_oracles job sums every
+term and sample its checks name, so a speedup cannot come from shortening the
+oracles.
 """
 
 import sys
@@ -39,6 +41,16 @@ def test_tline_scan_evaluates_the_channel_once(tmp_path):
     with spans.installed(tracer):
         workload.run(workload.cycle(0)[0])
     assert tracer.counts["channels.eval_reactances.calls"] == 1
+
+
+def test_reproduce_cli_curves_call_the_public_functionals(tmp_path):
+    workload = workloads.WORKLOADS["reproduce_cli"](1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        workload.run(workload.cycle(0)[0])
+    # three load resistances on each of the LC and the shorted-line configs
+    assert tracer.counts["linkmodel.transfer_magnitude.calls"] == 6
+    assert tracer.counts["linkmodel.ratio_alpha_beta.calls"] == 6
 
 
 def test_verify_oracles_keeps_every_term(tmp_path):

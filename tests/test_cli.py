@@ -484,15 +484,15 @@ class TestCsv:
             cli._csv(["a", "b", "c"], columns)
 
     def test_non_finite_value_writes_no_file(self, tmp_path, capsys, monkeypatch):
-        transfer = cli._transfer
+        transfer = cli.transfer_magnitude
 
-        def nan_at_second_load(sample, rx):
-            mag = transfer(sample, rx)
+        def nan_at_second_load(model, rx, omega):
+            mag = transfer(model, rx, omega)
             if rx.load_resistance == 5e5:
                 mag[len(mag) // 2] = math.nan
             return mag
 
-        monkeypatch.setattr(cli, "_transfer", nan_at_second_load)
+        monkeypatch.setattr(cli, "transfer_magnitude", nan_at_second_load)
         assert main(["transfer", "--rl", "5e4,5e5", "--out", str(tmp_path / "t.csv")]) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: refusing to write non-finite values in column transfer_ohm\n"

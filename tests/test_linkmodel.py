@@ -246,6 +246,7 @@ NON_FINITE_ENTRY_POINTS = {
         make_receiver(5e4), Band(W0, 1e7), v),
     "lower-bound-power": lambda v: capacity_lower_bound(
         LC_MODEL, make_receiver(5e4), Band(W0, 1e7), v, build_grid(Band(W0, 1e7), LC_MODEL)),
+    "output-psd-density": lambda v: output_psd(LC_MODEL, make_receiver(5e4), W0, v),
 }
 
 

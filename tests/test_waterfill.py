@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rclink import (
@@ -18,11 +19,13 @@ from rclink import (
     capacity_lower_bound,
     capacity_upper_bound,
     eval_reactances,
+    output_psd,
     poles_in_interval,
     ratio_alpha_beta,
     solve_for_mu,
     solve_for_power,
     sweep,
+    transfer_magnitude,
 )
 from rclink.cli import main
 from rclink.waterfill import _water_floor
@@ -160,6 +163,39 @@ class TestGridCarriesItsChannel:
         # an equal channel is the same channel
         solve(replace(TLINE_MODEL), receiver, tline_grid, tline_band)
 
+    # each public functional read on a grid, as a tuple of arrays
+    FUNCTIONALS = {
+        "transfer-magnitude": lambda model, rx, omega, s_it: (transfer_magnitude(model, rx, omega),),
+        "alpha": lambda model, rx, omega, s_it: (alpha(model, rx, omega),),
+        "beta": lambda model, rx, omega, s_it: (beta(model, rx, omega),),
+        "ratio": lambda model, rx, omega, s_it: (ratio_alpha_beta(model, rx, omega),),
+        "output-psd": lambda model, rx, omega, s_it: output_psd(model, rx, omega, s_it),
+    }
+
+    @EVERY_KIND
+    @pytest.mark.parametrize("read", FUNCTIONALS.values(), ids=FUNCTIONALS)
+    def test_functional_reads_the_grid(self, lc_band, tline_band, receiver, model, read):
+        grid = build_grid(lc_band if model is LC_MODEL else tline_band, model, 512, 6)
+        s_it = solve_for_power(model, receiver, grid, POWER_W).s_it
+        arrays = (grid.nodes, grid.weights, grid.pole_nodes, *vars(grid.sample).values())
+        before = [a.tobytes() for a in arrays]
+        on_grid = read(model, receiver, grid, s_it)
+        at_nodes = read(model, receiver, grid.nodes, s_it)
+        for a, b in zip(on_grid, at_nodes, strict=True):
+            assert a.tobytes() == b.tobytes()
+        assert [a.tobytes() for a in arrays] == before
+
+    @EVERY_KIND
+    @pytest.mark.parametrize("read", FUNCTIONALS.values(), ids=FUNCTIONALS)
+    def test_functional_refuses_another_channels_grid(self, lc_band, tline_band, receiver,
+                                                      model, read):
+        grid = build_grid(lc_band if model is LC_MODEL else tline_band, model, 512, 6)
+        other = replace(LC_MODEL, inductance=2 * LC_MODEL.inductance) if model is LC_MODEL \
+            else LC_MODEL
+        with pytest.raises(ValueError, match="grid was built for another channel"):
+            read(other, receiver, grid, 0.0)
+        read(replace(model), receiver, grid, 0.0)  # an equal channel is the same channel
+
 
 class TestSolveForMu:
     def test_empty_support_above_max_ratio(self, lc_grid, receiver):
@@ -277,6 +313,23 @@ class TestSweep:
         assert result.points[0].power > 0
         assert np.all(result.termination.support_mask)
 
+    def test_near_level_points_exact(self, lc_grid, receiver):
+        """The first multipliers sit within 1e-9 of the top ratio, where 1/mu - 1/r
+        and log2(r/mu) would cancel; power against an exact rational sum, and
+        capacity against log1p of the exactly formed (r - mu)/mu."""
+        r = ratio_alpha_beta(LC_MODEL, receiver, lc_grid.nodes)
+        w = lc_grid.weights / (2 * math.pi)
+        for point in sweep(LC_MODEL, receiver, lc_grid).points[:6]:
+            assert np.any(point.support_mask)
+            mu = Fraction(point.mu)
+            support = np.flatnonzero(point.support_mask)
+            x = [(Fraction(float(r[i])) - mu) / mu for i in support]
+            power = sum(Fraction(float(w[i])) * xi / (1 + xi) for i, xi in zip(support, x)) / mu
+            capacity = math.fsum(float(w[i]) * math.log1p(float(xi))
+                                 for i, xi in zip(support, x)) / math.log(2)
+            assert abs(point.power - power) <= 1e-14 * power
+            assert abs(point.capacity - capacity) <= 1e-14 * capacity
+
     def test_rejects_unsorted(self, lc_grid, receiver):
         with pytest.raises(ValueError):
             sweep(LC_MODEL, receiver, lc_grid, [1e18, 1e19])
@@ -356,6 +409,10 @@ class TestRandomShortedLines:
         points_per_pole=st.sampled_from([8, 12, 32]),
         rl=st.floats(5e4, 5e6),
     )
+    # on the ratio plateau these lost the chord-slope bracket to cancellation
+    # in 1/mu - 1/r and log2(r/mu) near the level
+    @example(poles=1.0, taps=(0.5, 0.05), points_per_pole=32, rl=2663880.0)
+    @example(poles=1.0, taps=(0.5, 0.05), points_per_pole=32, rl=2663886.0)
     def test_breakpoints_exact(self, tline_band, poles, taps, points_per_pole, rl):
         length = poles * 3.0e8 / (2 * tline_band.bandwidth)
         model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
