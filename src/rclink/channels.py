@@ -42,8 +42,8 @@ class ReactanceSample:
 
     The reactances are recovered as Z_R'' = num_r/denom and Z_RT'' =
     num_rt/denom wherever denom != 0.  All fields are finite at every real
-    omega, pole frequencies included.  Fields may be scalars or arrays,
-    following the shape of omega.
+    omega, pole frequencies included.  Fields follow the shape of omega: a
+    scalar omega gives numpy scalars, the bits of the same omega in an array.
     """
 
     num_r: np.ndarray | float  # ohm
@@ -72,7 +72,7 @@ class LcParallel:
 
     def reactances(self, omega) -> ReactanceSample:
         num = omega * self.inductance
-        denom = 1.0 - self.inductance * self.capacitance * omega**2
+        denom = 1.0 - self.inductance * self.capacitance * np.square(omega)
         return ReactanceSample(num, num, denom)
 
     def poles(self, lo: float, hi: float) -> np.ndarray:
@@ -95,9 +95,8 @@ class _Line:
     def poles(self, lo: float, hi: float) -> np.ndarray:
         step = math.pi * self.wave_speed / self.length
         # tolerance absorbs roundoff at interval endpoints
-        l_min = math.ceil(lo / step - 1e-9)
+        l_min = max(math.ceil(lo / step - 1e-9), 0)
         l_max = math.floor(hi / step + 1e-9)
-        l_min = max(l_min, 0)
         if l_max < l_min:
             return np.array([])
         return step * np.arange(l_min, l_max + 1, dtype=float)
@@ -117,7 +116,7 @@ class TLineOpenEnds(_Line):
         # the -1 is folded into the numerators
         denom = np.sin(kl)
         num_diag = -z0 * np.cos(kl)
-        num_off = -z0 * np.ones_like(denom) if np.ndim(kl) else -z0
+        num_off = -z0 * np.ones_like(denom)
         return ReactanceSample(num_diag, num_off, denom)
 
 
@@ -164,13 +163,13 @@ CHANNEL_KINDS = {cls.kind: cls for cls in (LcParallel, TLineOpenEnds, TLineShort
 def eval_reactances(model: ChannelModel, omega) -> ReactanceSample:
     """Evaluate the receive-side reactance entries of `model` at `omega` (rad/s).
 
-    Accepts a scalar or ndarray of real frequencies; total on the real line.
+    Accepts real scalars and arrays, a scalar run as a 0-d array; total on the real line.
     Refuses complex and non-finite omega, which every per-node functional reads
     through this one point.
     """
     if np.iscomplexobj(omega):
         raise ValueError("omega must be real")
-    omega = np.asarray(omega, dtype=float) if np.ndim(omega) else float(omega)
+    omega = np.asarray(omega, dtype=float)
     if not np.isfinite(omega).all():
         raise ValueError("omega must be finite")
     return model.reactances(omega)

