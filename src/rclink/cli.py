@@ -7,7 +7,8 @@ builds the grid, runs the command and only then writes the files atomically
 (temp + rename), so a refused input writes none.  A flag value thus obeys the
 config file's number rule.  `verify` takes no flags and prints the records of
 `timedomain.oracle_checks`.  CSV numbers carry 17 significant digits, so the
-files double as regression fixtures.
+files double as regression fixtures.  A column shared by the per-R_L files of
+`transfer` and `ratio` is formatted once per command, not once per file.
 """
 
 from __future__ import annotations
@@ -54,12 +55,19 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    table = np.asarray(columns, dtype=float).T  # one row per CSV line
+def _table(header: list[str], columns) -> np.ndarray:
+    """The columns as one row per CSV line; refuses a non-finite value, naming
+    the first column, left to right, that holds one."""
+    table = np.asarray(columns, dtype=float).T
     finite = np.isfinite(table).all(axis=0)
     if not finite.all():
-        name = header[finite.argmin()]  # the first column holding a non-finite value
+        name = header[finite.argmin()]
         raise RuntimeError(f"refusing to write non-finite values in column {name}")
+    return table
+
+
+def _csv(header: list[str], columns) -> str:
+    table = _table(header, columns)
     row = ",".join([_FMT] * len(header)) + "\n"
     return ",".join(header) + "\n" + row * len(table) % tuple(table.ravel().tolist())
 
@@ -72,15 +80,25 @@ def _receivers(config: RunConfig) -> list[tuple[float, ReceiverParams]]:
     return [(rl, replace(rx, load_resistance=rl)) for rl in config.load_resistances]
 
 
-def _curve(header: list[str], columns):
-    """A command giving one CSV per load resistance of columns(model, rx, grid),
-    whose functionals read the reactances the grid carries, so no R_L
-    re-evaluates the channel."""
+def _curve(header: list[str], shared, column):
+    """A command giving one CSV per load resistance: the columns shared(grid),
+    which do not depend on R_L, then the last column, column(model, rx, grid),
+    whose functional reads the reactances the grid carries, so no R_L
+    re-evaluates the channel.  The shared columns are formatted once, as row
+    prefixes that each file's one `%` interleaves with its own values."""
     def fn(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
+        receivers = _receivers(config)
+        head, *prefixes = _csv(header[:-1], shared(grid)).splitlines()
+        head += f",{header[-1]}\n"
+        rows = ("%s," + _FMT + "\n") * len(prefixes)
+        pairs = [None] * (2 * len(prefixes))  # (row prefix, value) of every row
+        pairs[::2] = prefixes
         stem, ext = os.path.splitext(out)
-        return [(f"{stem}_rl{rl:g}{ext or '.csv'}",
-                 _csv(header, columns(config.channel, rx, grid)))
-                for rl, rx in _receivers(config)]
+        files = []
+        for rl, rx in receivers:
+            pairs[1::2] = _table(header[-1:], [column(config.channel, rx, grid)]).ravel().tolist()
+            files.append((f"{stem}_rl{rl:g}{ext or '.csv'}", head + rows % tuple(pairs)))
+        return files
     return fn
 
 
@@ -127,11 +145,11 @@ def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[s
 _COMMANDS = {
     "transfer": ("transfer magnitude vs frequency per load resistance", ("--rl",),
                  _curve(["omega_rad_s", "freq_ghz", "transfer_ohm"],
-                        lambda model, rx, grid: [grid.nodes, grid.nodes / (2 * math.pi * 1e9),
-                                                 transfer_magnitude(model, rx, grid)])),
+                        lambda grid: [grid.nodes, grid.nodes / (2 * math.pi * 1e9)],
+                        lambda model, rx, grid: transfer_magnitude(model, rx, grid))),
     "ratio": ("alpha/beta ratio vs frequency per load resistance", ("--rl",),
-              _curve(["omega_rad_s", "ratio"],
-                     lambda model, rx, grid: [grid.nodes, ratio_alpha_beta(model, rx, grid)])),
+              _curve(["omega_rad_s", "ratio"], lambda grid: [grid.nodes],
+                     lambda model, rx, grid: ratio_alpha_beta(model, rx, grid))),
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
                   cmd_waterfill),
     "sweep": ("capacity vs power cross-plot over a multiplier range", ("--mu",), cmd_sweep),

@@ -68,8 +68,9 @@ def build_grid(
 
     Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to
     every pole, h the base spacing; every in-band pole is a node.  Levels
-    past 29 are refused, as their nodes would merge as near-duplicates.  The
-    channel is evaluated once, at the final nodes.
+    past 29 are refused, as their nodes would merge as near-duplicates, and so
+    is a grid on which two in-band poles would snap to one node.  The channel
+    is evaluated once, at the final nodes.
     """
     if base_points < 16:
         raise ValueError("base_points must be at least 16")
@@ -83,13 +84,19 @@ def build_grid(
     offsets = np.unique((h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21))
     extra = (poles[:, None] + offsets).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
-    nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
+    nodes = np.concatenate([np.linspace(lo, hi, base_points), extra])
+    nodes.sort()
     del extra, offsets
-    # drop near-duplicates that would produce tiny weights, then snap the
-    # nearest surviving node onto each pole exactly (the lower one on a tie)
+    # drop near-duplicates, exact ones included, that would produce tiny
+    # weights, then snap the nearest surviving node onto each pole exactly
+    # (the lower one on a tie)
     nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
     right = np.clip(np.searchsorted(nodes, poles), 1, len(nodes) - 1)
     pole_idx = right - (poles - nodes[right - 1] <= nodes[right] - poles)
+    if np.any(np.diff(pole_idx) == 0):
+        raise ValueError(f"{len(poles) - len(np.unique(pole_idx))} of {len(poles)} in-band "
+                         "poles would share a node with another; raise base_points or "
+                         "refine_levels")
     nodes[pole_idx] = poles
     weights = _trapezoid_weights(nodes)
     s = eval_reactances(model, nodes)

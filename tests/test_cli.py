@@ -368,6 +368,10 @@ class TestErrorHandling:
         "grid-points-fraction": ["waterfill", "--grid-points", "512.9"],
         # only an absent --config means the built-in setup
         "config-empty-path": ["waterfill", "--config", ""],
+        # 41 in-band poles snapped onto 16 nodes
+        "poles-share-a-node": ["waterfill", "--config",
+                               str(Path(__file__).parent / "tline_600m.json"),
+                               "--grid-points", "16", "--refine", "0"],
     }
 
     @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -498,6 +502,37 @@ class TestCsv:
         assert captured.err == "error: refusing to write non-finite values in column transfer_ohm\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["transfer", "ratio"])
+@pytest.mark.parametrize("kind", ["lc", "tline"])
+def test_curve_files_match_the_per_value_reference(tmp_path, kind, command):
+    """Each per-R_L file holds the bytes of one `%.17g` per value of the functionals."""
+    doc = serialize_config(default_config())
+    if kind == "tline":
+        doc["channel"] = dict(DEFAULT_TLINE_CHANNEL)
+        doc["band"] = {"carrier_hz": 3.0e9, "bandwidth_hz": 1.0e7}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(path), "--out", str(out / "c.csv")]) == 0
+    config = parse_config(doc)
+    assert len(config.load_resistances) == 3
+    grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
+    names = []
+    for rl in config.load_resistances:
+        rx = replace(config.receiver, load_resistance=rl)
+        if command == "transfer":
+            header = ["omega_rad_s", "freq_ghz", "transfer_ohm"]
+            columns = [grid.nodes, grid.nodes / (2 * math.pi * 1e9),
+                       linkmodel.transfer_magnitude(config.channel, rx, grid)]
+        else:
+            header = ["omega_rad_s", "ratio"]
+            columns = [grid.nodes, linkmodel.ratio_alpha_beta(config.channel, rx, grid)]
+        names.append(f"c_rl{rl:g}.csv")
+        assert (out / names[-1]).read_text() == reference_csv(header, columns), names[-1]
+    assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
 
 class TestParserReuse:

@@ -95,6 +95,21 @@ class TestBuildGrid:
         else:
             assert grid.pole_nodes.tolist() == pole_nodes
 
+    def test_poles_sharing_a_node_refused(self, tline_band):
+        # 41 in-band poles of a 600 m line, 16 base nodes and no refinement:
+        # the poles snap onto 16 nodes
+        length = 600.0
+        model = TLineShortedTapped(50.0, 3.0e8, length, length / 7, 8 * length / 13)
+        assert len(poles_in_interval(model, tline_band.lo, tline_band.hi)) == 41
+        with pytest.raises(ValueError, match="^25 of 41 in-band poles would share a node"):
+            build_grid(tline_band, model, 16, 0)
+        with pytest.raises(ValueError, match="^1 of 41 in-band poles"):
+            build_grid(tline_band, model, 40, 0)
+        # one node per pole, or refinement, makes every pole its own node
+        for base_points, levels in ((41, 0), (16, 1)):
+            grid = build_grid(tline_band, model, base_points, levels)
+            assert len(np.unique(grid.pole_nodes)) == 41
+
     def test_base_points_floor(self, lc_band):
         with pytest.raises(ValueError):
             build_grid(lc_band, LC_MODEL, 8, 6)
