@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from rclink.cli import main as rclink_main
-from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL
+from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_BAND, DEFAULT_TLINE_CHANNEL
 
 
 def run(outdir: Path):
@@ -22,7 +22,7 @@ def run(outdir: Path):
 
     tline_doc = json.loads(json.dumps(DEFAULT_CONFIG))
     tline_doc["channel"] = dict(DEFAULT_TLINE_CHANNEL)
-    tline_doc["band"] = {"carrier_hz": 3.0e9, "bandwidth_hz": 1.0e7}
+    tline_doc["band"] = dict(DEFAULT_TLINE_BAND)
     tline_config = outdir / "tline_config.json"
     tline_config.write_text(json.dumps(tline_doc, indent=2))
 

@@ -13,7 +13,8 @@ no functional of the link.
 
 Each class owns its config name (`kind`), the JSON keys of its fields in
 field order (`keys`), `reactances(omega)` and `poles(lo, hi)`; a new kind is
-one more class in `CHANNEL_KINDS`.
+one more class in `CHANNEL_KINDS`.  `ReceiverParams` and `Band` declare
+`keys` the same way, and `config` reads each of these sections by them.
 """
 
 from __future__ import annotations

@@ -153,7 +153,8 @@ _COMMANDS = {
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
                   cmd_waterfill),
     "sweep": ("capacity vs power cross-plot over a multiplier range", ("--mu",), cmd_sweep),
-    "table1": ("spectral efficiencies and bounds per load resistance", (), cmd_table1),
+    "table1": ("spectral efficiencies and bounds per load resistance", ("--rl", "--power"),
+               cmd_table1),
 }
 
 # flag -> the (section, key) of the config value that it overrides, and its help

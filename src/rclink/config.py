@@ -1,13 +1,13 @@
 """JSON run configuration: channel + receiver + band + grid + analysis knobs.
 
-Frequencies in the file carry explicit unit suffixes (`_hz` or `_rad_s`) and
-are converted to rad/s internally.  Unknown keys are rejected so typos fail
-loudly instead of silently falling back to defaults.  Channel sections map
-through `channels.CHANNEL_KINDS`; missing `grid` and `analysis` keys are
-filled from `DEFAULT_CONFIG`, the one place defaults are written.  Every
-numeric value, from a file or a command-line flag, goes through `_number`: a
-finite JSON int or float, never a bool or a string, and an integer for the
-`grid` values.
+One rule reads every section.  Channel, receiver and band keys are their
+class's `keys`, the fields in order, and a key whose field has a default
+(`boltzmann_j_per_k`) may be absent.  A missing `grid` or `analysis` key takes
+its `DEFAULT_CONFIG` value, whose type says how the key is read: an int as an
+integer, a float as a finite number, a list as a list of numbers.  Every
+number, from a file or a command-line flag, goes through `_number`: a finite
+JSON int or float, never a bool or a string.  Unknown keys are rejected, so
+typos fail loudly.  A carrier given as `carrier_hz` is converted to rad/s.
 """
 
 from __future__ import annotations
@@ -15,10 +15,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import MISSING, astuple, dataclass, fields
 
 from .channels import CHANNEL_KINDS, ChannelModel
 from .linkmodel import BOLTZMANN_DEFAULT, Band, ReceiverParams
+from .waterfill import DEFAULT_BASE_POINTS, DEFAULT_REFINE_LEVELS
 
 __all__ = ["RunConfig", "ConfigError", "load_document", "parse_config", "serialize_config",
            "default_config"]
@@ -41,7 +42,7 @@ DEFAULT_CONFIG = {
         "boltzmann_j_per_k": BOLTZMANN_DEFAULT,
     },
     "band": {"carrier_rad_s": (4.7e-9 * 6.0e-13) ** -0.5, "bandwidth_hz": 1.0e7},
-    "grid": {"base_points": 512, "refine_levels": 6},
+    "grid": {"base_points": DEFAULT_BASE_POINTS, "refine_levels": DEFAULT_REFINE_LEVELS},
     "analysis": {
         "load_resistances_ohm": [5.0e4, 5.0e5, 5.0e6],
         "power_w": 2.68e-14,
@@ -49,7 +50,8 @@ DEFAULT_CONFIG = {
     },
 }
 
-# z0 is a conventional 50-ohm choice, not fixed by the physics of the taps
+# z0 is a conventional 50-ohm choice, not fixed by the physics of the taps;
+# DEFAULT_TLINE_BAND is the band its reference artifacts are computed over
 DEFAULT_TLINE_CHANNEL = {
     "kind": "tline_shorted_tapped",
     "char_impedance_ohm": 50.0,
@@ -58,12 +60,7 @@ DEFAULT_TLINE_CHANNEL = {
     "x_transmit_m": 75.0 / 7,
     "x_receive_m": 8 * 75.0 / 13,
 }
-
-
-# ReceiverParams fields in order
-_RECEIVER_KEYS = (
-    "load_resistance_ohm", "amp_gain", "amp_noise_v2_per_hz", "temperature_k", "boltzmann_j_per_k",
-)
+DEFAULT_TLINE_BAND = {"carrier_hz": 3.0e9, "bandwidth_hz": 1.0e7}
 
 
 class ConfigError(ValueError):
@@ -82,11 +79,15 @@ class RunConfig:
     mu_list: tuple[float, ...]
 
 
-def _take(section: dict, where: str, keys: dict):
-    """Pull known keys from a config section, rejecting anything else."""
+def _object(section, where: str) -> dict:
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be a JSON object")
-    unknown = set(section) - set(keys)
+    return section
+
+
+def _take(section: dict, where: str, keys: dict):
+    """Pull known keys from a config section, rejecting anything else."""
+    unknown = set(_object(section, where)) - set(keys)
     if unknown:
         raise ConfigError(f"unknown keys in '{where}': {sorted(unknown)}")
     missing = [key for key, required in keys.items() if required and key not in section]
@@ -105,76 +106,61 @@ def _number(value, where: str, integer: bool = False):
     return value
 
 
-def _numbers(value, where: str) -> tuple[float, ...]:
-    """A JSON list of numbers, each through `_number`, as floats."""
-    if not isinstance(value, list):
-        raise ConfigError(f"'{where}' must be a list of numbers, got {value!r}")
-    return tuple(float(_number(v, where)) for v in value)
+def _read(value, where: str, default):
+    """`value` read as `default` is: an int as an integer, a float as a finite
+    number, and a list as a tuple of floats, each through `_number`."""
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"'{where}' must be a list of numbers, got {value!r}")
+        return tuple(float(_number(v, where)) for v in value)
+    return type(default)(_number(value, where, isinstance(default, int)))
 
 
-def _defaulted(top: dict, name: str) -> dict:
-    """An optional section's keys, each missing one taken from DEFAULT_CONFIG."""
-    defaults = DEFAULT_CONFIG[name]
-    return {**defaults, **_take(top.get(name, {}), name, dict.fromkeys(defaults, False))}
-
-
-def _parse_channel(section: dict) -> ChannelModel:
-    cls = CHANNEL_KINDS.get(section.get("kind"))
-    if cls is None:
-        raise ConfigError(f"unknown channel kind: {section.get('kind')!r}")
-    vals = _take(section, "channel", dict.fromkeys(("kind",) + cls.keys, True))
-    args = [_number(vals[k], f"channel.{k}") for k in cls.keys]
+def _build(cls, section, where: str, invalid: str, *head: str):
+    """`cls` from the config section `where`: its keys are `cls.keys`, the fields in order,
+    after the `head` keys that the caller reads.  Every value goes through `_number`, a key
+    whose field has a default may be absent, and a ValueError from `cls` reads "`invalid`: ..."."""
+    keys = {key: f.default is MISSING for key, f in zip(cls.keys, fields(cls))}
+    vals = _take(section, where, {**dict.fromkeys(head, True), **keys})
+    args = [_number(vals[key], f"{where}.{key}") for key in cls.keys if key in vals]
     try:
-        return cls(*args)
+        return cls(*args)  # only trailing fields have defaults
     except ValueError as exc:
-        raise ConfigError(f"invalid channel parameters: {exc}") from exc
-
-
-def _parse_band(section: dict) -> Band:
-    vals = _take(section, "band", {"carrier_hz": False, "carrier_rad_s": False, "bandwidth_hz": True})
-    if ("carrier_hz" in vals) == ("carrier_rad_s" in vals):
-        raise ConfigError("band needs exactly one of 'carrier_hz' or 'carrier_rad_s'")
-    vals = {key: _number(val, f"band.{key}") for key, val in vals.items()}
-    try:
-        carrier = vals.get("carrier_rad_s", 2 * math.pi * vals.get("carrier_hz", 0.0))
-        return Band(carrier, vals["bandwidth_hz"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid band: {exc}") from exc
+        raise ConfigError(f"{invalid}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON document."""
     top = _take(doc, "config", {"channel": True, "receiver": True, "band": True,
                                 "grid": False, "analysis": False})
-    channel = _parse_channel(top["channel"])
-    required = {key: key != "boltzmann_j_per_k" for key in _RECEIVER_KEYS}
-    rv = {"boltzmann_j_per_k": BOLTZMANN_DEFAULT, **_take(top["receiver"], "receiver", required)}
-    args = [_number(rv[key], f"receiver.{key}") for key in _RECEIVER_KEYS]
-    try:
-        receiver = ReceiverParams(*args)
-    except ValueError as exc:
-        raise ConfigError(f"invalid receiver: {exc}") from exc
-    band = _parse_band(top["band"])
-    gv, av = _defaulted(top, "grid"), _defaulted(top, "analysis")
-    return RunConfig(
-        channel=channel,
-        receiver=receiver,
-        band=band,
-        base_points=_number(gv["base_points"], "grid.base_points", True),
-        refine_levels=_number(gv["refine_levels"], "grid.refine_levels", True),
-        load_resistances=_numbers(av["load_resistances_ohm"], "analysis.load_resistances_ohm"),
-        power_w=float(_number(av["power_w"], "analysis.power_w")),
-        mu_list=_numbers(av["mu_list"], "analysis.mu_list"),
-    )
+    kind = _object(top["channel"], "channel").get("kind")
+    if not isinstance(kind, str) or kind not in CHANNEL_KINDS:  # a list kind is unhashable
+        raise ConfigError(f"unknown channel kind: {kind!r}")
+    channel = _build(CHANNEL_KINDS[kind], top["channel"], "channel", "invalid channel parameters",
+                     "kind")
+    receiver = _build(ReceiverParams, top["receiver"], "receiver", "invalid receiver")
+    band = _object(top["band"], "band")
+    if ("carrier_hz" in band) == ("carrier_rad_s" in band):
+        raise ConfigError("band needs exactly one of 'carrier_hz' or 'carrier_rad_s'")
+    if "carrier_hz" in band:  # read in Hz, built in rad/s
+        rad_s = 2 * math.pi * _number(band["carrier_hz"], "band.carrier_hz")
+        band = {"carrier_rad_s": rad_s, **{k: v for k, v in band.items() if k != "carrier_hz"}}
+    band = _build(Band, band, "band", "invalid band")
+    rest = []  # the grid and analysis keys, in DEFAULT_CONFIG's order: RunConfig's last fields
+    for name in ("grid", "analysis"):
+        given = _take(top.get(name, {}), name, dict.fromkeys(DEFAULT_CONFIG[name], False))
+        rest += [_read(given.get(key, default), f"{name}.{key}", default)
+                 for key, default in DEFAULT_CONFIG[name].items()]
+    return RunConfig(channel, receiver, band, *rest)
 
 
 def serialize_config(config: RunConfig) -> dict:
     """Inverse of parse_config: parse(serialize(c)) == c."""
-    ch = config.channel
+    ch, rx, band = config.channel, config.receiver, config.band
     return {
         "channel": {"kind": ch.kind, **dict(zip(ch.keys, astuple(ch)))},
-        "receiver": dict(zip(_RECEIVER_KEYS, astuple(config.receiver))),
-        "band": {"carrier_rad_s": config.band.carrier, "bandwidth_hz": config.band.bandwidth},
+        "receiver": dict(zip(rx.keys, astuple(rx))),
+        "band": dict(zip(band.keys, astuple(band))),
         "grid": {"base_points": config.base_points, "refine_levels": config.refine_levels},
         "analysis": {
             "load_resistances_ohm": list(config.load_resistances),

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -45,6 +45,9 @@ BOLTZMANN_DEFAULT = 1.38e-23
 class ReceiverParams:
     """Load resistor, amplifier, and thermal-noise parameters."""
 
+    keys: ClassVar[tuple[str, ...]] = ("load_resistance_ohm", "amp_gain", "amp_noise_v2_per_hz",
+                                       "temperature_k", "boltzmann_j_per_k")
+
     load_resistance: float  # ohm
     amp_gain: float  # dimensionless voltage gain
     amp_noise_density: float  # V^2/Hz
@@ -67,6 +70,8 @@ class ReceiverParams:
 @dataclass(frozen=True)
 class Band:
     """Positive-frequency band [carrier - pi*B, carrier + pi*B] in rad/s."""
+
+    keys: ClassVar[tuple[str, ...]] = ("carrier_rad_s", "bandwidth_hz")
 
     carrier: float  # rad/s
     bandwidth: float  # Hz
@@ -102,7 +107,7 @@ class OutputPsd(NamedTuple):
 class FrequencyGrid:
     """Trapezoidal quadrature nodes over a band, refined around channel poles.
 
-    The grid belongs to the channel it was built for: `sample` is
+    The grid belongs to the channel and the band it was built for: `sample` is
     eval_reactances(channel, nodes), that channel's receive-side reactances at
     the nodes.  Every array of the grid and of its sample is read-only.
     """
@@ -112,6 +117,7 @@ class FrequencyGrid:
     pole_nodes: np.ndarray  # indices of nodes sitting exactly on poles
     channel: ChannelModel  # the model the grid was built for
     sample: ReactanceSample  # its receive-side reactances at the nodes
+    band: Band  # the band the nodes span
 
 
 def _sample(model, omega) -> ReactanceSample:
@@ -238,13 +244,15 @@ def capacity_lower_bound(
 
     Integrates log1p(p_t * (alpha/beta)(omega) / B) / ln 2 over the coupled nodes
     of `grid` (see waterfill.build_grid), from the reactances the grid carries;
-    a grid built for another channel is refused, and a channel coupling
-    nowhere gives 0.
+    a grid built for another channel or another band is refused, and a channel
+    coupling nowhere gives 0.
     With T=0 this reduces exactly to the upper bound.  Raises ValueError when
     every other node (the last one included) moves the result by over 1e-3.
     """
     if not 0 <= p_t < math.inf:
         raise ValueError("p_t must be nonnegative and finite")
+    if band != grid.band:
+        raise ValueError("grid was built for another band")
     ratio, coupled = _profile(model, rx, grid)[:2]
     vals = np.where(coupled, np.log1p(p_t * ratio / band.bandwidth) / math.log(2), 0.0)
     del ratio, coupled  # the every-other-node check below holds its own arrays

@@ -36,6 +36,8 @@ __all__ = [
     "sweep",
 ]
 
+DEFAULT_BASE_POINTS = 512
+DEFAULT_REFINE_LEVELS = 6
 _MAX_REFINE_LEVELS = 29  # h/2**30 is under the near-duplicate spacing h*1e-9
 
 
@@ -61,8 +63,8 @@ class SweepResult:
 def build_grid(
     band: Band,
     model: ChannelModel,
-    base_points: int = 512,
-    refine_levels: int = 6,
+    base_points: int = DEFAULT_BASE_POINTS,
+    refine_levels: int = DEFAULT_REFINE_LEVELS,
 ) -> FrequencyGrid:
     """Uniform base grid with nested halving refinement around in-band poles.
 
@@ -102,7 +104,7 @@ def build_grid(
     s = eval_reactances(model, nodes)
     for a in (nodes, weights, pole_idx, s.num_r, s.num_rt, s.denom):
         a.setflags(write=False)  # a write would change every later result on the grid
-    return FrequencyGrid(nodes, weights, pole_idx, model, s)
+    return FrequencyGrid(nodes, weights, pole_idx, model, s, band)
 
 
 def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> _Profile:

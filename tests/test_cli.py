@@ -1,17 +1,24 @@
 import importlib.util
+import inspect
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import rclink
 from rclink import (
+    Band,
+    ReceiverParams,
     TLineOpenEnds,
     channels,
     cli,
@@ -24,6 +31,7 @@ from rclink import (
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
 from rclink.cli import _COMMANDS, _FLAGS, main
 from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL, ConfigError
+from rclink.linkmodel import BOLTZMANN_DEFAULT
 from rclink.waterfill import build_grid
 
 from conftest import LC_MODEL, TLINE_MODEL
@@ -137,6 +145,109 @@ class TestChannelKinds:
             doc["channel"][key] = -1.0
             with pytest.raises(ConfigError, match="invalid channel parameters"):
                 parse_config(doc)
+
+
+# the receiver and band sections, read by the same rule as a channel's
+SECTIONS = {"receiver": ReceiverParams, "band": Band}
+
+
+def has_default(cls, key):
+    return fields(cls)[cls.keys.index(key)].default is not MISSING
+
+
+class TestSections:
+    @pytest.mark.parametrize("name", SECTIONS)
+    def test_keys_name_the_fields_in_order(self, name):
+        cls = SECTIONS[name]
+        assert len(cls.keys) == len(fields(cls))
+        assert list(serialize_config(default_config())[name]) == list(cls.keys)
+
+    @pytest.mark.parametrize("name", SECTIONS)
+    def test_missing_key(self, name):
+        for key in SECTIONS[name].keys:
+            doc = serialize_config(default_config())
+            del doc[name][key]
+            if has_default(SECTIONS[name], key):
+                parse_config(doc)
+            else:
+                # a band without its carrier in rad/s needs the carrier in Hz
+                with pytest.raises(ConfigError, match=f"'{key}'"):
+                    parse_config(doc)
+
+    @pytest.mark.parametrize("name, invalid", [("receiver", "invalid receiver: "),
+                                               ("band", "invalid band: ")])
+    def test_invalid_value(self, name, invalid):
+        for key in SECTIONS[name].keys:
+            doc = serialize_config(default_config())
+            doc[name][key] = -1.0
+            with pytest.raises(ConfigError, match=invalid):
+                parse_config(doc)
+
+    def test_boltzmann_is_optional(self):
+        doc = serialize_config(default_config())
+        del doc["receiver"]["boltzmann_j_per_k"]
+        config = parse_config(doc)
+        assert config.receiver.boltzmann == BOLTZMANN_DEFAULT
+        assert serialize_config(config)["receiver"]["boltzmann_j_per_k"] == BOLTZMANN_DEFAULT
+        assert config == default_config()
+
+    def test_build_grid_defaults_are_the_config_defaults(self):
+        params = inspect.signature(build_grid).parameters
+        assert {key: params[key].default for key in DEFAULT_CONFIG["grid"]} == \
+            DEFAULT_CONFIG["grid"]
+
+    # the channel section is read like any other: one that is no object, or a
+    # kind that is no string, is a config error, not a crash
+    @pytest.mark.parametrize("section, line", [
+        (5, "'channel' must be a JSON object"),
+        ([], "'channel' must be a JSON object"),
+        ({"kind": []}, "unknown channel kind: []"),
+        ({"kind": {"a": 1}}, "unknown channel kind: {'a': 1}"),
+        ({}, "unknown channel kind: None"),
+    ])
+    def test_channel_section_refused(self, tmp_path, capsys, section, line):
+        config = write_config(tmp_path, {"channel": section})
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
+    FINITE = {"allow_nan": False, "allow_infinity": False}
+
+    @given(
+        channel=st.sampled_from(sorted(KIND_EXAMPLES)),
+        receiver=st.fixed_dictionaries({
+            "load_resistance_ohm": st.floats(1e-3, 1e9),
+            "amp_gain": st.one_of(st.integers(1, 10**4), st.floats(1e-3, 1e6)),
+            "amp_noise_v2_per_hz": st.floats(1e-30, 1e-10),
+            "temperature_k": st.one_of(st.integers(0, 1000), st.floats(0.0, 1e4)),
+        }, optional={"boltzmann_j_per_k": st.floats(1e-30, 1e-15)}),
+        bandwidth=st.floats(1.0, 1e9),
+        headroom=st.floats(1.01, 1e6),  # the carrier over the band's half width
+        in_hz=st.booleans(),
+        grid=st.fixed_dictionaries({}, optional={
+            "base_points": st.integers(16, 10**6), "refine_levels": st.integers(0, 29)}),
+        analysis=st.fixed_dictionaries({}, optional={
+            "load_resistances_ohm": st.lists(st.floats(1e-3, 1e9), max_size=4),
+            "power_w": st.floats(-1e3, 1e3, **FINITE),
+            "mu_list": st.lists(st.floats(**FINITE), max_size=4),
+        }),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, channel, receiver, bandwidth, headroom, in_hz, grid, analysis):
+        carrier = headroom * math.pi * bandwidth
+        band = ({"carrier_hz": carrier / (2 * math.pi)} if in_hz else {"carrier_rad_s": carrier})
+        doc = serialize_config(replace(default_config(), channel=KIND_EXAMPLES[channel]))
+        doc.update(receiver=receiver, band={**band, "bandwidth_hz": bandwidth}, grid=grid,
+                   analysis=analysis)
+        config = parse_config(doc)
+        out = serialize_config(config)
+        assert list(out) == list(DEFAULT_CONFIG)
+        assert list(out["channel"]) == ["kind", *type(config.channel).keys]
+        assert list(out["receiver"]) == list(ReceiverParams.keys)
+        assert list(out["band"]) == list(Band.keys)
+        for name in ("grid", "analysis"):
+            assert list(out[name]) == list(DEFAULT_CONFIG[name])
+        assert parse_config(json.loads(json.dumps(out))) == config
+        assert parse_config(out) == config
 
 
 class TestTransferCommand:
@@ -269,6 +380,20 @@ class TestTable1Command:
         assert np.all(a[:, 1:3] != b[:, 1:3])
         _, lower, se, upper = b.T
         assert np.all((lower < se) & (se < upper))
+
+    def test_rl_flag(self, tmp_path):
+        default, one = tmp_path / "default.csv", tmp_path / "one.csv"
+        assert main(["table1", "--out", str(default)]) == 0
+        assert main(["table1", "--rl", "5e4", "--out", str(one)]) == 0
+        assert one.read_bytes() == b"".join(default.read_bytes().splitlines(True)[:2])
+
+    def test_power_flag_is_the_config_key(self, tmp_path):
+        config = write_config(tmp_path, {"analysis.power_w": 1e-13})
+        flag, file, default = (tmp_path / f"{name}.csv" for name in ("flag", "file", "default"))
+        assert main(["table1", "--power", "1e-13", "--out", str(flag)]) == 0
+        assert main(["table1", "--config", str(config), "--out", str(file)]) == 0
+        assert main(["table1", "--out", str(default)]) == 0
+        assert flag.read_bytes() == file.read_bytes() != default.read_bytes()
 
     def test_unrefined_grid_accepted(self, tmp_path):
         # the 512 base nodes alone resolve the lower bound once its
@@ -613,6 +738,14 @@ class TestReadme:
         listed = [line.split("`")[1] for line in cli_section.splitlines()
                   if line.startswith("| `")]
         assert sorted(listed) == sorted([*_COMMANDS, "verify"])
+
+
+class TestPackaging:
+    def test_version_matches_pyproject(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
+        assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [rclink.__version__]
 
 
 class TestReproduceScript:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -214,6 +214,19 @@ class TestCapacityBounds:
         for rl in (5e4, 5e6):
             with pytest.raises(ValueError, match="too coarse"):
                 capacity_lower_bound(LC_MODEL, make_receiver(rl), lc_band, POWER_W, grid)
+
+    def test_grid_of_another_band_refused(self, lc_band):
+        # another carrier once read the same grid and gave the same bound
+        grid = build_grid(lc_band, LC_MODEL, 512, 6)
+        assert grid.band is lc_band
+        rx = make_receiver(5e4)
+        for other in (replace(lc_band, carrier=1.5 * lc_band.carrier),
+                      replace(lc_band, bandwidth=2 * lc_band.bandwidth)):
+            with pytest.raises(ValueError, match="grid was built for another band"):
+                capacity_lower_bound(LC_MODEL, rx, other, POWER_W, grid)
+        # an equal band is the same band
+        assert capacity_lower_bound(LC_MODEL, rx, replace(lc_band), POWER_W, grid) == \
+            capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid)
 
     def test_lower_below_upper(self, lc_band):
         for rl in (5e4, 5e5, 5e6):
