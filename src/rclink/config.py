@@ -1,13 +1,14 @@
 """JSON run configuration: channel + receiver + band + grid + analysis knobs.
 
 One rule reads every section.  Channel, receiver and band keys are their
-class's `keys`, the fields in order, and a key whose field has a default
-(`boltzmann_j_per_k`) may be absent.  A missing `grid` or `analysis` key takes
-its `DEFAULT_CONFIG` value, whose type says how the key is read: an int as an
-integer, a float as a finite number, a list as a list of numbers.  Every
-number, from a file or a command-line flag, goes through `_number`: a finite
-JSON int or float, never a bool or a string.  Unknown keys are rejected, so
-typos fail loudly.  A carrier given as `carrier_hz` is converted to rad/s.
+class's `keys`, the fields in order, and each of them is required; k_B is
+fixed in `linkmodel`, so the receiver's temperature alone sets its Johnson
+noise.  A missing `grid` or `analysis` key takes its `DEFAULT_CONFIG` value,
+whose type says how the key is read: an int as an integer, a float as a finite
+number, a list as a list of numbers.  Every number, from a file or a
+command-line flag, goes through `_number`: a finite JSON int or float, never a
+bool or a string.  Unknown keys are rejected, so typos fail loudly.  A carrier
+given as `carrier_hz` is converted to rad/s.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, astuple, dataclass, fields
+from dataclasses import astuple, dataclass
 
-from .channels import CHANNEL_KINDS, ChannelModel
-from .linkmodel import BOLTZMANN_DEFAULT, Band, ReceiverParams
+from .channels import CHANNEL_KINDS, ChannelModel, LcParallel
+from .linkmodel import Band, ReceiverParams
 from .waterfill import DEFAULT_BASE_POINTS, DEFAULT_REFINE_LEVELS
 
 __all__ = ["RunConfig", "ConfigError", "load_document", "parse_config", "serialize_config",
@@ -28,20 +29,16 @@ __all__ = ["RunConfig", "ConfigError", "load_document", "parse_config", "seriali
 # amplifier noise referenced to 50 ohm with 9 dB excess.  The carrier sits
 # exactly on the LC resonance 1/sqrt(LC) (2.9968 GHz); centering the band on
 # the resonance is what reproduces the published regression values.
+_DEFAULT_LC = {"inductance_h": 4.7e-9, "capacitance_f": 6.0e-13}
 DEFAULT_CONFIG = {
-    "channel": {
-        "kind": "lc_parallel",
-        "inductance_h": 4.7e-9,
-        "capacitance_f": 6.0e-13,
-    },
+    "channel": {"kind": LcParallel.kind, **_DEFAULT_LC},
     "receiver": {
         "load_resistance_ohm": 5.0e4,
         "amp_gain": 100.0,
         "amp_noise_v2_per_hz": 3.29e-18,
         "temperature_k": 300.0,
-        "boltzmann_j_per_k": BOLTZMANN_DEFAULT,
     },
-    "band": {"carrier_rad_s": (4.7e-9 * 6.0e-13) ** -0.5, "bandwidth_hz": 1.0e7},
+    "band": {"carrier_rad_s": LcParallel(*_DEFAULT_LC.values()).resonance, "bandwidth_hz": 1.0e7},
     "grid": {"base_points": DEFAULT_BASE_POINTS, "refine_levels": DEFAULT_REFINE_LEVELS},
     "analysis": {
         "load_resistances_ohm": [5.0e4, 5.0e5, 5.0e6],
@@ -117,14 +114,13 @@ def _read(value, where: str, default):
 
 
 def _build(cls, section, where: str, invalid: str, *head: str):
-    """`cls` from the config section `where`: its keys are `cls.keys`, the fields in order,
-    after the `head` keys that the caller reads.  Every value goes through `_number`, a key
-    whose field has a default may be absent, and a ValueError from `cls` reads "`invalid`: ..."."""
-    keys = {key: f.default is MISSING for key, f in zip(cls.keys, fields(cls))}
-    vals = _take(section, where, {**dict.fromkeys(head, True), **keys})
-    args = [_number(vals[key], f"{where}.{key}") for key in cls.keys if key in vals]
+    """`cls` from the config section `where`: its keys, all required, are the `head` keys
+    that the caller reads and then `cls.keys`, the fields in order.  Every value goes through
+    `_number`, and a ValueError from `cls` reads "`invalid`: ..."."""
+    vals = _take(section, where, dict.fromkeys((*head, *cls.keys), True))
+    args = [_number(vals[key], f"{where}.{key}") for key in cls.keys]
     try:
-        return cls(*args)  # only trailing fields have defaults
+        return cls(*args)
     except ValueError as exc:
         raise ConfigError(f"{invalid}: {exc}") from exc
 

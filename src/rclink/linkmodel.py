@@ -36,9 +36,10 @@ __all__ = [
     "capacity_lower_bound",
 ]
 
-# matches the constant used for the published regression numbers; the 2019
-# SI-exact value 1.380649e-23 shifts results by well under a percent
-BOLTZMANN_DEFAULT = 1.38e-23
+# k_B in J/K: matches the constant used for the published regression numbers;
+# the 2019 SI-exact value 1.380649e-23 shifts results by well under a percent.
+# Only k_B*T is read, so a run at the SI value scales T by 1.380649/1.38.
+BOLTZMANN = 1.38e-23
 
 
 @dataclass(frozen=True)
@@ -46,13 +47,12 @@ class ReceiverParams:
     """Load resistor, amplifier, and thermal-noise parameters."""
 
     keys: ClassVar[tuple[str, ...]] = ("load_resistance_ohm", "amp_gain", "amp_noise_v2_per_hz",
-                                       "temperature_k", "boltzmann_j_per_k")
+                                       "temperature_k")
 
     load_resistance: float  # ohm
     amp_gain: float  # dimensionless voltage gain
     amp_noise_density: float  # V^2/Hz
     temperature: float  # K
-    boltzmann: float = BOLTZMANN_DEFAULT  # J/K
 
     def __post_init__(self):
         if not 0 < self.load_resistance < math.inf:
@@ -61,8 +61,6 @@ class ReceiverParams:
             raise ValueError("amp_gain must be positive and finite")
         if not (0 <= self.amp_noise_density < math.inf and 0 <= self.temperature < math.inf):
             raise ValueError("noise density and temperature must be nonnegative and finite")
-        if not 0 < self.boltzmann < math.inf:
-            raise ValueError("boltzmann must be positive and finite")
         if self.amp_noise_density == 0 and self.temperature == 0:
             raise ValueError("degenerate noiseless receiver (T=0 and Q_A=0)")
 
@@ -137,7 +135,7 @@ def _noise(s: ReactanceSample, rx: ReceiverParams):
     rl = rx.load_resistance
     r2 = np.square(s.num_r)
     load = r2 + rl**2 * np.square(s.denom)
-    r2 *= 2 * rx.amp_gain**2 * rx.boltzmann * rx.temperature * rl  # now the Johnson term
+    r2 *= 2 * rx.amp_gain**2 * BOLTZMANN * rx.temperature * rl  # now the Johnson term
     return load, r2
 
 

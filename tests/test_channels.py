@@ -12,6 +12,7 @@ from rclink import (
     eval_reactances,
     poles_in_interval,
 )
+from rclink.timedomain import open_line_closed_vi
 
 from conftest import LC_MODEL, TLINE_MODEL
 from oracles import (
@@ -66,6 +67,19 @@ class TestEvalReactances:
         s = eval_reactances(TLINE_MODEL, omega)
         expected = np.array([shorted_mutual_reactance(TLINE_MODEL, w) for w in omega])
         np.testing.assert_allclose(s.num_rt / s.denom, expected, rtol=1e-10)
+
+    def test_open_line_helmholtz_equivalence(self):
+        # V/I1 of the closed form, just below the real axis, is i times the
+        # reactance: Z_RT at the far end x = L, and Z_R at the driven end x = 0,
+        # as the line is symmetric end to end
+        rng = np.random.default_rng(13)
+        c0, length = OPEN_LINE.wave_speed, OPEN_LINE.length
+        omega = rng.uniform(0.05, 200.0, 400) * math.pi * c0 / length
+        omega = omega[np.abs(np.sin(omega * length / c0)) > 1e-3] - 1e-9j * c0 / length
+        s = OPEN_LINE.reactances(omega)
+        for x, num in ((length, s.num_rt), (0.0, s.num_r)):
+            expected = np.array([open_line_closed_vi(OPEN_LINE, w, x)[0] / 1j for w in omega])
+            np.testing.assert_allclose(num / s.denom, expected, rtol=1e-12)
 
     def test_finite_at_poles(self):
         for model in (LC_MODEL, TLINE_MODEL, OPEN_LINE):

@@ -7,7 +7,7 @@ import re
 import stat
 import subprocess
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from rclink import (
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
 from rclink.cli import _COMMANDS, _FLAGS, main
 from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL, ConfigError
-from rclink.linkmodel import BOLTZMANN_DEFAULT
 from rclink.waterfill import build_grid
 
 from conftest import LC_MODEL, TLINE_MODEL
@@ -69,6 +68,10 @@ class TestConfig:
     def test_round_trip(self):
         config = default_config()
         assert parse_config(serialize_config(config)) == config
+
+    def test_default_band_centred_on_default_channel(self):
+        config = default_config()
+        assert config.band.carrier == config.channel.resonance
 
     def test_round_trip_tline(self):
         doc = serialize_config(default_config())
@@ -151,10 +154,6 @@ class TestChannelKinds:
 SECTIONS = {"receiver": ReceiverParams, "band": Band}
 
 
-def has_default(cls, key):
-    return fields(cls)[cls.keys.index(key)].default is not MISSING
-
-
 class TestSections:
     @pytest.mark.parametrize("name", SECTIONS)
     def test_keys_name_the_fields_in_order(self, name):
@@ -167,12 +166,9 @@ class TestSections:
         for key in SECTIONS[name].keys:
             doc = serialize_config(default_config())
             del doc[name][key]
-            if has_default(SECTIONS[name], key):
+            # a band without its carrier in rad/s needs the carrier in Hz
+            with pytest.raises(ConfigError, match=f"'{key}'"):
                 parse_config(doc)
-            else:
-                # a band without its carrier in rad/s needs the carrier in Hz
-                with pytest.raises(ConfigError, match=f"'{key}'"):
-                    parse_config(doc)
 
     @pytest.mark.parametrize("name, invalid", [("receiver", "invalid receiver: "),
                                                ("band", "invalid band: ")])
@@ -183,13 +179,13 @@ class TestSections:
             with pytest.raises(ConfigError, match=invalid):
                 parse_config(doc)
 
-    def test_boltzmann_is_optional(self):
+    def test_boltzmann_key_refused(self):
+        # k_B is a constant: a receiver that names it is refused like any unknown key
         doc = serialize_config(default_config())
-        del doc["receiver"]["boltzmann_j_per_k"]
-        config = parse_config(doc)
-        assert config.receiver.boltzmann == BOLTZMANN_DEFAULT
-        assert serialize_config(config)["receiver"]["boltzmann_j_per_k"] == BOLTZMANN_DEFAULT
-        assert config == default_config()
+        doc["receiver"]["boltzmann_j_per_k"] = 1.38e-23
+        with pytest.raises(ConfigError) as info:
+            parse_config(doc)
+        assert str(info.value) == "unknown keys in 'receiver': ['boltzmann_j_per_k']"
 
     def test_build_grid_defaults_are_the_config_defaults(self):
         params = inspect.signature(build_grid).parameters
@@ -219,7 +215,7 @@ class TestSections:
             "amp_gain": st.one_of(st.integers(1, 10**4), st.floats(1e-3, 1e6)),
             "amp_noise_v2_per_hz": st.floats(1e-30, 1e-10),
             "temperature_k": st.one_of(st.integers(0, 1000), st.floats(0.0, 1e4)),
-        }, optional={"boltzmann_j_per_k": st.floats(1e-30, 1e-15)}),
+        }),
         bandwidth=st.floats(1.0, 1e9),
         headroom=st.floats(1.01, 1e6),  # the carrier over the band's half width
         in_hz=st.booleans(),
@@ -359,8 +355,10 @@ class TestTable1Command:
             assert row[3] == pytest.approx(upper, abs=0.05)
 
     def test_boltzmann_sensitivity(self, tmp_path):
-        # switching to the SI-exact constant moves the SEs by well under 0.5%
-        path = write_config(tmp_path, {"receiver.boltzmann_j_per_k": 1.380649e-23})
+        # switching to the SI-exact constant moves the SEs by well under 0.5%; only
+        # k_B*T is read, so the SI value is run by scaling the temperature
+        temperature = DEFAULT_CONFIG["receiver"]["temperature_k"] * 1.380649 / 1.38
+        path = write_config(tmp_path, {"receiver.temperature_k": temperature})
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["table1", "--out", str(out1)]) == 0
         assert main(["table1", "--config", str(path), "--out", str(out2)]) == 0
@@ -455,6 +453,17 @@ class TestErrorHandling:
     def test_unwritable_out_path(self, tmp_path):
         assert main(["table1", "--out", str(tmp_path / "no_dir" / "o.csv")]) == 1
 
+    def test_out_is_a_directory(self, tmp_path, capsys):
+        # the temp file is written, then cannot be renamed over the directory:
+        # it is removed, and the command fails with one line
+        out = tmp_path / "t.csv"
+        out.mkdir()
+        assert main(["table1", "--rl", "5e4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
     def test_bad_rl_list(self, tmp_path):
         assert main(["transfer", "--out", str(tmp_path / "o.csv"), "--rl", "5e4,abc"]) == 2
 
@@ -467,77 +476,93 @@ class TestErrorHandling:
         assert "upper_bound_bs_hz" in err
         assert list(tmp_path.iterdir()) == [config]
 
-    # each value reaches a solver or the grid builder, which refuses it
+    # each value reaches a solver or the grid builder, which refuses it with
+    # the message fragment given next to it
+    POSITIVE_POWER = "p_t must be positive and finite"
+    MIN_POINTS = "base_points must be at least 16"
+    REFINE_RANGE = "refine_levels must be in [0, 29]"
+    POSITIVE_RL = "load_resistance must be positive and finite"
+    COARSE = "frequency grid too coarse for the lower-bound integral"
     BAD_INPUTS = {
-        "power-zero": ["waterfill", "--power", "0"],
-        "power-negative": ["waterfill", "--power", "-1"],
-        "grid-points-zero": ["waterfill", "--grid-points", "0"],
-        "grid-points-8": ["waterfill", "--grid-points", "8"],
-        "refine-negative": ["waterfill", "--refine", "-1"],
-        "refine-30": ["sweep", "--refine", "30"],
-        "refine-2000": ["sweep", "--refine", "2000"],
-        "rl-negative": ["transfer", "--rl", "-5"],
-        "rl-second-negative": ["transfer", "--rl", "5e4,-5"],
-        "rl-same-file-name": ["ratio", "--rl", "123456.7,123456.8"],
-        "mu-ascending": ["sweep", "--mu", "1,2"],
-        "config-base-points-8": ["transfer", "--config", "CONFIG"],
-        "table1-16-nodes": ["table1", "--grid-points", "16", "--refine", "0"],
-        "table1-40-nodes": ["table1", "--grid-points", "40", "--refine", "0"],
+        "power-zero": (["waterfill", "--power", "0"], POSITIVE_POWER),
+        "power-negative": (["waterfill", "--power", "-1"], POSITIVE_POWER),
+        "grid-points-zero": (["waterfill", "--grid-points", "0"], MIN_POINTS),
+        "grid-points-8": (["waterfill", "--grid-points", "8"], MIN_POINTS),
+        "refine-negative": (["waterfill", "--refine", "-1"], REFINE_RANGE),
+        "refine-30": (["sweep", "--refine", "30"], REFINE_RANGE),
+        "refine-2000": (["sweep", "--refine", "2000"], REFINE_RANGE),
+        "rl-negative": (["transfer", "--rl", "-5"], POSITIVE_RL),
+        "rl-second-negative": (["transfer", "--rl", "5e4,-5"], POSITIVE_RL),
+        "rl-same-file-name": (["ratio", "--rl", "123456.7,123456.8"],
+                              "output files would overwrite each other"),
+        "mu-ascending": (["sweep", "--mu", "1,2"], "mu_list must be sorted descending"),
+        "config-base-points-8": (["transfer", "--config", "CONFIG"], MIN_POINTS),
+        "table1-16-nodes": (["table1", "--grid-points", "16", "--refine", "0"], COARSE),
+        "table1-40-nodes": (["table1", "--grid-points", "40", "--refine", "0"], COARSE),
         # flags obey the config file's number rule
-        "power-nan": ["waterfill", "--power", "nan"],
-        "power-inf": ["waterfill", "--power", "inf"],
-        "mu-nan": ["sweep", "--mu", "nan"],
-        "rl-nan": ["transfer", "--rl", "nan"],
-        "rl-inf": ["transfer", "--rl", "inf"],
-        "rl-beyond-float": ["transfer", "--rl", "1e400"],
-        "grid-points-fraction": ["waterfill", "--grid-points", "512.9"],
-        # only an absent --config means the built-in setup
-        "config-empty-path": ["waterfill", "--config", ""],
+        "power-nan": (["waterfill", "--power", "nan"],
+                      "'analysis.power_w' must be a finite number, got nan"),
+        "power-inf": (["waterfill", "--power", "inf"],
+                      "'analysis.power_w' must be a finite number, got inf"),
+        "mu-nan": (["sweep", "--mu", "nan"], "'analysis.mu_list' must be a finite number, got nan"),
+        "rl-nan": (["transfer", "--rl", "nan"],
+                   "'analysis.load_resistances_ohm' must be a finite number, got nan"),
+        "rl-inf": (["transfer", "--rl", "inf"],
+                   "'analysis.load_resistances_ohm' must be a finite number, got inf"),
+        "rl-beyond-float": (["transfer", "--rl", "1e400"],
+                            "'analysis.load_resistances_ohm' must be a finite number, got inf"),
+        "grid-points-fraction": (["waterfill", "--grid-points", "512.9"],
+                                 "'grid.base_points' must be an integer, got '512.9'"),
+        # only an absent --config means the built-in setup; an empty path shows
+        # quoted, not as nothing
+        "config-empty-path": (["waterfill", "--config", ""], "cannot read config '': "),
         # 41 in-band poles snapped onto 16 nodes
-        "poles-share-a-node": ["waterfill", "--config",
-                               str(Path(__file__).parent / "tline_600m.json"),
-                               "--grid-points", "16", "--refine", "0"],
+        "poles-share-a-node": (["waterfill", "--config",
+                                str(Path(__file__).parent / "tline_600m.json"),
+                                "--grid-points", "16", "--refine", "0"],
+                               "of 41 in-band poles would share a node"),
     }
 
-    @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-    def test_bad_input_exits_2(self, tmp_path, capsys, argv):
+    @pytest.mark.parametrize("argv, reason", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv, reason):
         config = write_config(tmp_path, {"grid.base_points": 8})
         argv = [str(config) if a == "CONFIG" else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-        if "" in argv:  # an empty --config path shows quoted, not as nothing
-            assert "cannot read config '': " in err
+        assert reason in err
         assert list(tmp_path.iterdir()) == [config]
 
     # a number is a finite JSON int or float, never a bool or a string; grid
-    # values are integers.  The id up to any "-" is the config key.
+    # values are integers.  The id up to any "-" is the config key, and the
+    # refusal names it and what it must be.
     WRONG_TYPES = {
-        "channel.inductance_h": "abc",
-        "receiver.amp_gain": None,
-        "band.bandwidth_hz": "1e7",
-        "analysis.load_resistances_ohm": 5e4,
-        "grid.base_points": None,
-        "analysis.mu_list": 5,
-        "receiver": 5,
-        "grid.base_points-fraction": 512.9,
-        "grid.refine_levels-bool": True,
-        "analysis.power_w-string": "2.68e-14",
-        "analysis.load_resistances_ohm-string": ["5e4"],
-        "receiver.amp_gain-bool": True,
-        "channel.inductance_h-bool": True,
-        "receiver.temperature_k-nan": math.nan,
-        "analysis.power_w-infinity": math.inf,
-        "band.bandwidth_hz-beyond-float": 10**400,
+        "channel.inductance_h": ("abc", "a finite number"),
+        "receiver.amp_gain": (None, "a finite number"),
+        "band.bandwidth_hz": ("1e7", "a finite number"),
+        "analysis.load_resistances_ohm": (5e4, "a list of numbers"),
+        "grid.base_points": (None, "an integer"),
+        "analysis.mu_list": (5, "a list of numbers"),
+        "receiver": (5, "a JSON object"),
+        "grid.base_points-fraction": (512.9, "an integer"),
+        "grid.refine_levels-bool": (True, "an integer"),
+        "analysis.power_w-string": ("2.68e-14", "a finite number"),
+        "analysis.load_resistances_ohm-string": (["5e4"], "a finite number"),
+        "receiver.amp_gain-bool": (True, "a finite number"),
+        "channel.inductance_h-bool": (True, "a finite number"),
+        "receiver.temperature_k-nan": (math.nan, "a finite number"),
+        "analysis.power_w-infinity": (math.inf, "a finite number"),
+        "band.bandwidth_hz-beyond-float": (10**400, "a finite number"),
     }
 
     @pytest.mark.parametrize("key", WRONG_TYPES)
     def test_wrong_typed_config_value_exits_2(self, tmp_path, capsys, key):
-        config = write_config(tmp_path, {key.split("-")[0]: self.WRONG_TYPES[key]})
+        value, kind = self.WRONG_TYPES[key]
+        where = key.split("-")[0]
+        config = write_config(tmp_path, {where: value})
         assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert err.startswith(f"config error: '{where}' must be {kind}") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [config]
 
     # (command, flag, its text, the config key it overrides, that value in a file)

@@ -66,6 +66,11 @@ class TestAlphaBeta:
         with pytest.raises(ValueError):
             ReceiverParams(5e4, 100.0, 0.0, 0.0)
 
+    def test_boltzmann_is_no_parameter(self):
+        # k_B is a constant; the temperature alone sets the Johnson noise
+        with pytest.raises(TypeError):
+            ReceiverParams(5e4, 100.0, QA, 300.0, KB)
+
     def test_alpha_zero_coupling(self, receiver):
         s = ReactanceSample(num_r=3.0, num_rt=0.0, denom=0.2)
         assert alpha(FixedSample(s), receiver, 1.0) == 0.0
@@ -269,7 +274,6 @@ NON_FINITE_ENTRY_POINTS = {
     "receiver-gain": lambda v: ReceiverParams(5e4, v, QA, 300.0),
     "receiver-noise": lambda v: ReceiverParams(5e4, 100.0, v, 300.0),
     "receiver-temperature": lambda v: ReceiverParams(5e4, 100.0, QA, v),
-    "receiver-boltzmann": lambda v: ReceiverParams(5e4, 100.0, QA, 300.0, v),
     "band-carrier": lambda v: Band(v, 1e7),
     "band-bandwidth": lambda v: Band(W0, v),
     "upper-bound-power": lambda v: capacity_upper_bound(
