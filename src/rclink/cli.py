@@ -6,9 +6,12 @@ given flag into it at the (section, key) that `_FLAGS` names, parses it once,
 builds the grid, runs the command and only then writes the files atomically
 (temp + rename), so a refused input writes none.  A flag value thus obeys the
 config file's number rule.  `verify` takes no flags and prints the records of
-`timedomain.oracle_checks`.  CSV numbers carry 17 significant digits, so the
-files double as regression fixtures.  A column shared by the per-R_L files of
-`transfer` and `ratio` is formatted once per command, not once per file.
+`timedomain.oracle_checks`.  `waterfill` and `sweep` read the load resistance
+`receiver.load_resistance_ohm`; `transfer`, `ratio` and `table1` write one
+result per `analysis.load_resistances_ohm` entry and ignore the receiver's.
+CSV numbers carry 17 significant digits, so the files double as regression
+fixtures.  A column shared by the per-R_L files of `transfer` and `ratio` is
+formatted once per command, not once per file.
 """
 
 from __future__ import annotations
@@ -74,10 +77,7 @@ def _csv(header: list[str], columns) -> str:
 
 def _receivers(config: RunConfig) -> list[tuple[float, ReceiverParams]]:
     """Every (R_L, receiver) pair of the configured load resistances."""
-    if not config.load_resistances:
-        raise ConfigError("analysis.load_resistances_ohm must be nonempty")
-    rx = config.receiver
-    return [(rl, replace(rx, load_resistance=rl)) for rl in config.load_resistances]
+    return [(rl, replace(config.receiver, load_resistance=rl)) for rl in config.load_resistances]
 
 
 def _curve(header: list[str], shared, column):
@@ -118,7 +118,7 @@ def cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tupl
 
 def cmd_sweep(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Capacity-vs-power cross-plot, terminated at the full-support point."""
-    result = sweep(config.channel, config.receiver, grid, config.mu_list or None)
+    result = sweep(config.channel, config.receiver, grid)
     rows = result.points + [result.termination]
     b = config.band.bandwidth
     return [(out, _csv(["mu", "power_W", "capacity_bps", "spectral_eff", "full_support"],
@@ -152,7 +152,7 @@ _COMMANDS = {
                      lambda model, rx, grid: ratio_alpha_beta(model, rx, grid))),
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
                   cmd_waterfill),
-    "sweep": ("capacity vs power cross-plot over a multiplier range", ("--mu",), cmd_sweep),
+    "sweep": ("capacity vs power cross-plot, ending at full support", (), cmd_sweep),
     "table1": ("spectral efficiencies and bounds per load resistance", ("--rl", "--power"),
                cmd_table1),
 }
@@ -163,7 +163,6 @@ _FLAGS = {
     "--refine": ("grid", "refine_levels", "pole refinement levels"),
     "--rl": ("analysis", "load_resistances_ohm", "comma-separated load resistances (ohm)"),
     "--power": ("analysis", "power_w", "transmit power budget (W)"),
-    "--mu": ("analysis", "mu_list", "comma-separated descending Lagrange multipliers"),
 }
 
 
@@ -238,7 +237,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

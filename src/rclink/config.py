@@ -5,10 +5,11 @@ class's `keys`, the fields in order, and each of them is required; k_B is
 fixed in `linkmodel`, so the receiver's temperature alone sets its Johnson
 noise.  A missing `grid` or `analysis` key takes its `DEFAULT_CONFIG` value,
 whose type says how the key is read: an int as an integer, a float as a finite
-number, a list as a list of numbers.  Every number, from a file or a
-command-line flag, goes through `_number`: a finite JSON int or float, never a
-bool or a string.  Unknown keys are rejected, so typos fail loudly.  A carrier
-given as `carrier_hz` is converted to rad/s.
+number, a list as a nonempty list of numbers; `serialize_config` writes them
+back by the same rule.  Every number, from a file or a command-line flag, goes
+through `_number`: a finite JSON int or float, never a bool or a string.
+Unknown keys are rejected, so typos fail loudly, and so is a key repeated in
+one object.  A carrier given as `carrier_hz` is converted to rad/s.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ DEFAULT_CONFIG = {
     "analysis": {
         "load_resistances_ohm": [5.0e4, 5.0e5, 5.0e6],
         "power_w": 2.68e-14,
-        "mu_list": [],
     },
 }
 
@@ -73,7 +73,6 @@ class RunConfig:
     refine_levels: int
     load_resistances: tuple[float, ...]
     power_w: float
-    mu_list: tuple[float, ...]
 
 
 def _object(section, where: str) -> dict:
@@ -105,10 +104,10 @@ def _number(value, where: str, integer: bool = False):
 
 def _read(value, where: str, default):
     """`value` read as `default` is: an int as an integer, a float as a finite
-    number, and a list as a tuple of floats, each through `_number`."""
+    number, and a list as a nonempty tuple of floats, each through `_number`."""
     if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"'{where}' must be a list of numbers, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"'{where}' must be a nonempty list of numbers, got {value!r}")
         return tuple(float(_number(v, where)) for v in value)
     return type(default)(_number(value, where, isinstance(default, int)))
 
@@ -153,17 +152,26 @@ def parse_config(doc: dict) -> RunConfig:
 def serialize_config(config: RunConfig) -> dict:
     """Inverse of parse_config: parse(serialize(c)) == c."""
     ch, rx, band = config.channel, config.receiver, config.band
-    return {
+    doc = {
         "channel": {"kind": ch.kind, **dict(zip(ch.keys, astuple(ch)))},
         "receiver": dict(zip(rx.keys, astuple(rx))),
         "band": dict(zip(band.keys, astuple(band))),
-        "grid": {"base_points": config.base_points, "refine_levels": config.refine_levels},
-        "analysis": {
-            "load_resistances_ohm": list(config.load_resistances),
-            "power_w": config.power_w,
-            "mu_list": list(config.mu_list),
-        },
     }
+    rest = iter(astuple(config)[3:])  # RunConfig's last fields, as parse_config reads them
+    for name in ("grid", "analysis"):  # zip stops at the section's last key, taking no more
+        doc[name] = {key: type(default)(value)
+                     for (key, default), value in zip(DEFAULT_CONFIG[name].items(), rest)}
+    return doc
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key that it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ConfigError(f"duplicate key {key!r} in one JSON object")
+    return obj
 
 
 def load_document(path=None) -> dict:
@@ -172,7 +180,7 @@ def load_document(path=None) -> dict:
         return json.loads(json.dumps(DEFAULT_CONFIG))
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {str(path)!r}: {exc}") from exc
     except json.JSONDecodeError as exc:

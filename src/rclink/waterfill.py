@@ -219,29 +219,20 @@ def solve_for_power(
     return _solve(prof, rx, grid, mu)
 
 
-def sweep(
-    model: ChannelModel,
-    rx: ReceiverParams,
-    grid: FrequencyGrid,
-    mu_list=None,
-) -> SweepResult:
-    """One solution per mu (descending) above the full-support endpoint, plus it.
+def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> SweepResult:
+    """The capacity-vs-power cross-plot: 50 logarithmically spaced multipliers,
+    descending from just below the maximum of alpha/beta (the top node powered)
+    to its minimum, then the full-support endpoint.
 
-    Without `mu_list`, 50 logarithmically spaced multipliers run from just
-    below the maximum of alpha/beta (the top node powered) to its minimum.
-    The termination point is the largest multiplier that powers the whole
-    band, the float below the minimum of alpha/beta over the coupled nodes
-    (`solve_for_power`'s clamp); multipliers at or below it are dropped.
+    The endpoint is the largest multiplier that powers the whole band, the
+    float below the minimum of alpha/beta over the coupled nodes
+    (`solve_for_power`'s clamp).  Multipliers at or below it are dropped: on a
+    flat ratio profile (zero temperature) the range starts below it.  For
+    chosen multipliers, call `solve_for_mu` at each.
     """
     prof = _coupled_profile(model, rx, grid)
     r_coupled = prof.ratio[prof.coupled]
     mu_full = float(np.nextafter(np.min(r_coupled), 0))
-    if mu_list is None:
-        mu_list = np.geomspace(float(np.max(r_coupled)) * (1 - 1e-9), float(np.min(r_coupled)), 50)
-    mu_list = list(mu_list)
-    if not all(0 < m < math.inf for m in mu_list):
-        raise ValueError("multipliers must be positive and finite")
-    if any(b >= a for a, b in zip(mu_list, mu_list[1:])):
-        raise ValueError("mu_list must be sorted descending")
-    points = [_solve(prof, rx, grid, mu) for mu in mu_list if mu > mu_full]
+    mus = np.geomspace(float(np.max(r_coupled)) * (1 - 1e-9), float(np.min(r_coupled)), 50)
+    points = [_solve(prof, rx, grid, mu) for mu in mus.tolist() if mu > mu_full]
     return SweepResult(points, _solve(prof, rx, grid, mu_full))

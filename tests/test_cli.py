@@ -187,6 +187,13 @@ class TestSections:
             parse_config(doc)
         assert str(info.value) == "unknown keys in 'receiver': ['boltzmann_j_per_k']"
 
+    def test_mu_list_key_refused(self, tmp_path, capsys):
+        # sweep's multipliers are no input: a config that names them is refused
+        config = write_config(tmp_path, {"analysis.mu_list": []})
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "config error: unknown keys in 'analysis': ['mu_list']\n"
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_build_grid_defaults_are_the_config_defaults(self):
         params = inspect.signature(build_grid).parameters
         assert {key: params[key].default for key in DEFAULT_CONFIG["grid"]} == \
@@ -222,9 +229,8 @@ class TestSections:
         grid=st.fixed_dictionaries({}, optional={
             "base_points": st.integers(16, 10**6), "refine_levels": st.integers(0, 29)}),
         analysis=st.fixed_dictionaries({}, optional={
-            "load_resistances_ohm": st.lists(st.floats(1e-3, 1e9), max_size=4),
+            "load_resistances_ohm": st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=4),
             "power_w": st.floats(-1e3, 1e3, **FINITE),
-            "mu_list": st.lists(st.floats(**FINITE), max_size=4),
         }),
     )
     @settings(max_examples=200, deadline=None)
@@ -334,6 +340,37 @@ class TestSweepCommand:
         assert np.all(np.diff(power) >= 0)
         assert np.all(np.diff(cap) >= 0)
         assert data[-1, 4] == 1.0
+
+    def test_takes_no_multipliers(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--mu", "1e16", "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --mu 1e16" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLoadResistance:
+    """`waterfill` and `sweep` read receiver.load_resistance_ohm; `transfer`, `ratio`
+    and `table1` read analysis.load_resistances_ohm and ignore the receiver's."""
+
+    # a and b differ only in the list, a and c only in the receiver's load
+    CONFIGS = {"a": (5e6, [5e4]), "b": (5e6, [5e5]), "c": (5e4, [5e4])}
+
+    def run(self, tmp_path, command, name):
+        rl, rls = self.CONFIGS[name]
+        config = write_config(tmp_path, {"receiver.load_resistance_ohm": rl,
+                                         "analysis.load_resistances_ohm": rls}, f"{name}.json")
+        out = tmp_path / f"{command}_{name}"
+        out.mkdir()
+        assert main([command, "--config", str(config), "--out", str(out / "o.csv")]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_each_command_reads_one_home(self, tmp_path, command):
+        a, b, c = (self.run(tmp_path, command, name) for name in self.CONFIGS)
+        reads_receiver = command in ("waterfill", "sweep")
+        assert (a == b) == reads_receiver
+        assert (a == c) != reads_receiver
 
 
 class TestTable1Command:
@@ -464,6 +501,33 @@ class TestErrorHandling:
         assert list(tmp_path.iterdir()) == [out]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("where", ["top", "receiver"])
+    def test_repeated_key_exits_2(self, tmp_path, capsys, where):
+        # the last value would win without a word: here, a zero-temperature run
+        text = json.dumps(serialize_config(default_config()))
+        if where == "top":
+            key, text = "grid", text[:-1] + ', "grid": {"base_points": 100}}'
+        else:
+            key = "temperature_k"
+            text = text.replace('"temperature_k": 300.0', '"temperature_k": 300.0, '
+                                '"temperature_k": 0.0')
+        config = tmp_path / "dup.json"
+        config.write_text(text)
+        assert main(["waterfill", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: duplicate key '{key}' in one JSON object\n"
+        assert list(tmp_path.iterdir()) == [config]
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_empty_load_resistance_list_refused_at_parse(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        config = write_config(tmp_path, {"analysis.load_resistances_ohm": []})
+        monkeypatch.setattr(cli, "build_grid", lambda *a: pytest.fail("a grid was built"))
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == ("config error: 'analysis.load_resistances_ohm' must "
+                                           "be a nonempty list of numbers, got []\n")
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_bad_rl_list(self, tmp_path):
         assert main(["transfer", "--out", str(tmp_path / "o.csv"), "--rl", "5e4,abc"]) == 2
 
@@ -495,7 +559,6 @@ class TestErrorHandling:
         "rl-second-negative": (["transfer", "--rl", "5e4,-5"], POSITIVE_RL),
         "rl-same-file-name": (["ratio", "--rl", "123456.7,123456.8"],
                               "output files would overwrite each other"),
-        "mu-ascending": (["sweep", "--mu", "1,2"], "mu_list must be sorted descending"),
         "config-base-points-8": (["transfer", "--config", "CONFIG"], MIN_POINTS),
         "table1-16-nodes": (["table1", "--grid-points", "16", "--refine", "0"], COARSE),
         "table1-40-nodes": (["table1", "--grid-points", "40", "--refine", "0"], COARSE),
@@ -504,7 +567,6 @@ class TestErrorHandling:
                       "'analysis.power_w' must be a finite number, got nan"),
         "power-inf": (["waterfill", "--power", "inf"],
                       "'analysis.power_w' must be a finite number, got inf"),
-        "mu-nan": (["sweep", "--mu", "nan"], "'analysis.mu_list' must be a finite number, got nan"),
         "rl-nan": (["transfer", "--rl", "nan"],
                    "'analysis.load_resistances_ohm' must be a finite number, got nan"),
         "rl-inf": (["transfer", "--rl", "inf"],
@@ -540,9 +602,8 @@ class TestErrorHandling:
         "channel.inductance_h": ("abc", "a finite number"),
         "receiver.amp_gain": (None, "a finite number"),
         "band.bandwidth_hz": ("1e7", "a finite number"),
-        "analysis.load_resistances_ohm": (5e4, "a list of numbers"),
+        "analysis.load_resistances_ohm": (5e4, "a nonempty list of numbers"),
         "grid.base_points": (None, "an integer"),
-        "analysis.mu_list": (5, "a list of numbers"),
         "receiver": (5, "a JSON object"),
         "grid.base_points-fraction": (512.9, "an integer"),
         "grid.refine_levels-bool": (True, "an integer"),
@@ -573,7 +634,6 @@ class TestErrorHandling:
                             [5e4, math.inf]),
         "rl-string": ("transfer", "--rl", "5e4,abc", "analysis.load_resistances_ohm",
                       [5e4, "abc"]),
-        "mu-nan": ("sweep", "--mu", "nan", "analysis.mu_list", [math.nan]),
         "refine-string": ("waterfill", "--refine", "x", "grid.refine_levels", "x"),
     }
 
@@ -722,7 +782,7 @@ class TestParserReuse:
     def test_verify_after_an_artifact_command(self, tmp_path, capsys):
         cli._build_parser.cache_clear()
         fresh = (main(["verify"]), capsys.readouterr())
-        self.run_artifact(["sweep", "--mu", "1e16,1e15"], tmp_path / "sweep")
+        self.run_artifact(["sweep"], tmp_path / "sweep")
         capsys.readouterr()
         assert (main(["verify"]), capsys.readouterr()) == fresh
 
@@ -763,6 +823,11 @@ class TestReadme:
         listed = [line.split("`")[1] for line in cli_section.splitlines()
                   if line.startswith("| `")]
         assert sorted(listed) == sorted([*_COMMANDS, "verify"])
+
+    def test_flags_paragraph_names_every_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        paragraph = readme.split("\nFlags: ")[1].split("\n\n")[0]
+        assert set(re.findall(r"`(--[a-z-]+)", paragraph)) == {"--config", "--out", *_FLAGS}
 
 
 class TestPackaging:

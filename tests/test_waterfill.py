@@ -271,9 +271,7 @@ class TestSolveForMu:
 @pytest.mark.parametrize("solver", [
     lambda grid, rx, v: solve_for_mu(LC_MODEL, rx, grid, v),
     lambda grid, rx, v: solve_for_power(LC_MODEL, rx, grid, v),
-    lambda grid, rx, v: sweep(LC_MODEL, rx, grid, [v]),
-    lambda grid, rx, v: sweep(LC_MODEL, rx, grid, [1e30, v]),
-], ids=["solve-for-mu", "solve-for-power", "sweep", "sweep-second"])
+], ids=["solve-for-mu", "solve-for-power"])
 def test_non_finite_refused(lc_grid, receiver, solver, bad):
     with pytest.raises(ValueError, match="finite"):
         solver(lc_grid, receiver, bad)
@@ -323,9 +321,7 @@ class TestSolveForPower:
 
 class TestSweep:
     def test_sweep_properties(self, lc_band, lc_grid, receiver):
-        r = ratio_alpha_beta(LC_MODEL, receiver, lc_grid.nodes)
-        mus = list(np.geomspace(r.max() * 0.99, r.min() * 1.01, 12))
-        result = sweep(LC_MODEL, receiver, lc_grid, mus)
+        result = sweep(LC_MODEL, receiver, lc_grid)
         powers = [p.power for p in result.points]
         assert all(a <= b for a, b in zip(powers, powers[1:]))
         for p in result.points:
@@ -369,12 +365,6 @@ class TestSweep:
         model, grid = (LC_MODEL, lc_grid) if kind == "lc" else (TLINE_MODEL, tline_grid)
         r = ratio_alpha_beta(model, receiver, grid)[grid.sample.num_rt != 0]
         assert sweep(model, receiver, grid).termination.mu == np.nextafter(r.min(), 0)
-
-    def test_rejects_unsorted(self, lc_grid, receiver):
-        with pytest.raises(ValueError):
-            sweep(LC_MODEL, receiver, lc_grid, [1e18, 1e19])
-        with pytest.raises(ValueError):
-            sweep(LC_MODEL, receiver, lc_grid, [1e19, -1.0])
 
 
 class TestQuadratureOracle:
@@ -615,9 +605,11 @@ class TestUncoupledChannel:
         grid = build_grid(tline_band, model, 512, 6)
 
         assert capacity_lower_bound(model, rx, tline_band, POWER_W, grid) == 0.0
-        for solve, arg in ((solve_for_mu, 1e15), (solve_for_power, POWER_W), (sweep, None)):
+        for solve in (lambda: solve_for_mu(model, rx, grid, 1e15),
+                      lambda: solve_for_power(model, rx, grid, POWER_W),
+                      lambda: sweep(model, rx, grid)):
             with pytest.raises(ValueError, match="no coupling"):
-                solve(model, rx, grid, arg)
+                solve()
 
         config = tmp_path / "dead.json"
         config.write_text(json.dumps(doc))
