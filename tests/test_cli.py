@@ -26,6 +26,7 @@ from rclink import (
     linkmodel,
     parse_config,
     serialize_config,
+    timedomain,
     waterfill,
 )
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
@@ -461,6 +462,30 @@ class TestVerifyCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
+
+    # each closed form off by a relative error of 1.1 times its check's gate; the
+    # shorted line's error grows with damping, reaching that at the check's
+    # Im(omega) = -1e-3*c0/L and vanishing on the real axis, where the Helmholtz
+    # check shares its gate, so only the bounce series can catch it
+    @pytest.mark.parametrize("closed_form, check, error", [
+        ("open_line_closed_vi", "open-line series vs closed form", lambda m, w: 1.1e-6),
+        ("shorted_line_closed_v", "shorted-line series vs closed form",
+         lambda m, w: -0.11 * w.imag * m.length / m.wave_speed),
+        ("lc_transfer_closed", "LC impulse-integral vs closed form", lambda m, w: 1.1e-3),
+    ])
+    def test_fails_a_wrong_closed_form(self, monkeypatch, capsys, closed_form, check, error):
+        right = getattr(timedomain, closed_form)
+
+        def wrong(model, omega, *args):
+            value, scale = right(model, omega, *args), 1 + error(model, omega)
+            return tuple(v * scale for v in value) if isinstance(value, tuple) else value * scale
+
+        monkeypatch.setattr(timedomain, closed_form, wrong)
+        assert main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        failed = [l for l in lines if l.startswith(f"FAIL: {check} (")]
+        assert len(lines) == 5 and len(failed) == 1
+        assert all(l.startswith("PASS:") for l in lines if l not in failed)
 
     def test_takes_no_flags(self):
         with pytest.raises(SystemExit) as exc:

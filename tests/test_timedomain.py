@@ -1,16 +1,17 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rclink import TLineOpenEnds
 from rclink.channels import eval_reactances
 from rclink.timedomain import (
-    _powers,
+    _train,
     lc_transfer_closed,
     lc_transfer_from_impulse,
     oracle_checks,
@@ -91,16 +92,24 @@ N_TERMS = st.one_of(
 PHASES = st.builds(complex, st.floats(-50.0, 50.0), st.floats(-1e-2, 0.0))
 
 
-class TestPowers:
+class TestTrain:
     @settings(max_examples=200, deadline=None)
     @given(phase=PHASES, n=N_TERMS)
     def test_matches_direct_exponentials(self, phase, n):
-        p = _powers(phase, n)
-        assert p.shape == (n,)
-        assert p[0] == 1
         m = np.arange(n)
         direct = np.exp(-1j * phase * m)
-        assert np.all(np.abs(p - direct) <= 8 * EPS * (1 + abs(phase) * m) * np.abs(direct))
+        expected = complex(math.fsum(direct.real), math.fsum(direct.imag))
+        # each table product A_j*B_k is within 8*eps*(1 + |phase|*m) of its direct
+        # term; the two sums of at most b terms, their product, the remainder row
+        # and the fsum each round by at most (b - 1)*eps, (b - 1)*eps, 2*eps, eps
+        # and eps of the sum of the term magnitudes
+        b = math.isqrt(n - 1) + 1
+        bound = EPS * math.fsum((8 * (1 + abs(phase) * m) + 2 * (b + 1)) * np.abs(direct))
+        assert abs(_train(phase, n) - expected) <= bound
+
+    @given(phase=PHASES)
+    def test_single_term_is_exactly_one(self, phase):
+        assert _train(phase, 1) == 1
 
 
 W_OK = complex(3.7 * C0_OVER_L, -0.5 * C0_OVER_L)
@@ -237,6 +246,21 @@ class TestShortedLineSeries:
             v_c = shorted_line_closed_v(TLINE_MODEL, omega, x)
             assert abs(v_s - v_c) <= 1e-4 * abs(v_c)
 
+    def test_long_train_in_bounded_memory(self):
+        # at a check frequency |q|^40000 = e^-80, so both trains have converged;
+        # 10^10 terms take two tables of 10^5 entries, not a 160 GB term array
+        omega = complex(6.4 * C0_OVER_L, -1e-3 * C0_OVER_L)
+        x = 0.55 * TLINE_MODEL.length
+        converged = shorted_line_series_v(TLINE_MODEL, omega, x, 40000)
+        tracemalloc.start()
+        try:
+            v = shorted_line_series_v(TLINE_MODEL, omega, x, 10**10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(v - converged) <= 1e-9 * abs(converged)
+        assert peak <= 32 * 2**20
+
     def test_matches_rational_mutual_reactance(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
@@ -268,6 +292,16 @@ class TestShortedLineSeries:
             shorted_line_series_v(TLINE_MODEL, complex(1e8, 0.0), 1.0, 8)
 
 
+@st.composite
+def lc_integrals(draw):
+    """(omega, horizon, dt) that lc_transfer_from_impulse accepts, in at most 50k steps."""
+    w0 = LC_MODEL.resonance
+    dt = draw(st.floats(0.005, 0.049)) / w0
+    horizon = draw(st.floats(7 / w0, 49_999 * dt))
+    damping = draw(st.floats(20.001 / horizon, 3 * w0))
+    return complex(draw(st.floats(-5 * w0, 5 * w0)), -damping), horizon, dt
+
+
 class TestLcTransfer:
     W0 = LC_MODEL.resonance
 
@@ -293,11 +327,12 @@ class TestLcTransfer:
 
     # the check frequencies; the near-resonance one runs at the check's own
     # horizon of 25/|Im(omega)|, as 25/w0 is refused as too short there
-    @pytest.mark.parametrize("omega, horizon", [(W0 * complex(1, -0.01), 2500 / W0),
-                                                (complex(0, -W0), 25 / W0)],
-                             ids=["near-resonance", "imaginary-axis"])
-    def test_matches_linspace_trapezoid(self, omega, horizon):
-        dt = 0.01 / self.W0
+    @settings(deadline=None)
+    @example(case=(W0 * complex(1, -0.01), 2500 / W0, 0.01 / W0))
+    @example(case=(complex(0, -W0), 25 / W0, 0.01 / W0))
+    @given(case=lc_integrals())
+    def test_matches_linspace_trapezoid(self, case):
+        omega, horizon, dt = case
         t = np.linspace(0.0, horizon, math.ceil(horizon / dt) + 1)
         integrand = (np.cos(self.W0 * t) / LC_MODEL.capacitance) * np.exp(-1j * omega * t)
         expected = np.trapezoid(integrand, t)
