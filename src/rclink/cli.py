@@ -1,17 +1,18 @@
 """Command-line front end emitting CSV/JSON artifacts for the link analyses.
 
 Each artifact command is one `_COMMANDS` entry whose function returns its
-files as (path, text) pairs.  `main` reads the config document, writes every
-given flag into it at the (section, key) that `_FLAGS` names, parses it once,
-builds the grid, runs the command and only then writes the files atomically
-(temp + rename), so a refused input writes none.  A flag value thus obeys the
-config file's number rule.  `verify` takes no flags and prints the records of
-`timedomain.oracle_checks`.  `waterfill` and `sweep` read the load resistance
-`receiver.load_resistance_ohm`; `transfer`, `ratio` and `table1` write one
-result per `analysis.load_resistances_ohm` entry and ignore the receiver's.
-CSV numbers carry 17 significant digits, so the files double as regression
-fixtures.  A column shared by the per-R_L files of `transfer` and `ratio` is
-formatted once per command, not once per file.
+files as (path, text) pairs, and takes the flags that entry lists; the grid
+is set by the config's `grid` section alone.  `main` reads the config
+document, writes every given flag into it at the (section, key) that
+`_FLAGS` names, parses it once, builds the grid, runs the command and only
+then writes the files atomically (temp + rename), so a refused input writes
+none.  A flag value thus obeys the config file's number rule.  `verify`
+takes no flags and prints the records of `timedomain.oracle_checks`.
+`waterfill` and `sweep` read `receiver.load_resistance_ohm`; `transfer`,
+`ratio` and `table1` write one result per `analysis.load_resistances_ohm`
+entry.  CSV numbers carry 17 significant digits, so the files double as
+regression fixtures.  Each per-node CSV has the one abscissa `omega_rad_s`,
+which `transfer` and `ratio` format once per command, not once per file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -80,23 +80,22 @@ def _receivers(config: RunConfig) -> list[tuple[float, ReceiverParams]]:
     return [(rl, replace(config.receiver, load_resistance=rl)) for rl in config.load_resistances]
 
 
-def _curve(header: list[str], shared, column):
-    """A command giving one CSV per load resistance: the columns shared(grid),
-    which do not depend on R_L, then the last column, column(model, rx, grid),
-    whose functional reads the reactances the grid carries, so no R_L
-    re-evaluates the channel.  The shared columns are formatted once, as row
-    prefixes that each file's one `%` interleaves with its own values."""
+def _curve(header: list[str], column):
+    """A command giving one two-column CSV per load resistance: the grid's
+    nodes, then column(model, rx, grid), whose functional reads the reactances
+    the grid carries, so no R_L re-evaluates the channel.  The nodes are
+    formatted once, as row prefixes that each file's one `%` interleaves with
+    its own values."""
     def fn(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
-        receivers = _receivers(config)
-        head, *prefixes = _csv(header[:-1], shared(grid)).splitlines()
-        head += f",{header[-1]}\n"
+        head, *prefixes = _csv(header[:1], [grid.nodes]).splitlines()
+        head += f",{header[1]}\n"
         rows = ("%s," + _FMT + "\n") * len(prefixes)
         pairs = [None] * (2 * len(prefixes))  # (row prefix, value) of every row
         pairs[::2] = prefixes
         stem, ext = os.path.splitext(out)
         files = []
-        for rl, rx in receivers:
-            pairs[1::2] = _table(header[-1:], [column(config.channel, rx, grid)]).ravel().tolist()
+        for rl, rx in _receivers(config):
+            pairs[1::2] = _table(header[1:], [column(config.channel, rx, grid)]).ravel().tolist()
             files.append((f"{stem}_rl{rl:g}{ext or '.csv'}", head + rows % tuple(pairs)))
         return files
     return fn
@@ -141,14 +140,13 @@ def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[s
                        np.array(rows).T))]
 
 
-# name -> (help, its flags beyond --grid-points and --refine, fn(config, grid, out))
+# name -> (help, its flags, fn(config, grid, out))
 _COMMANDS = {
     "transfer": ("transfer magnitude vs frequency per load resistance", ("--rl",),
-                 _curve(["omega_rad_s", "freq_ghz", "transfer_ohm"],
-                        lambda grid: [grid.nodes, grid.nodes / (2 * math.pi * 1e9)],
+                 _curve(["omega_rad_s", "transfer_ohm"],
                         lambda model, rx, grid: transfer_magnitude(model, rx, grid))),
     "ratio": ("alpha/beta ratio vs frequency per load resistance", ("--rl",),
-              _curve(["omega_rad_s", "ratio"], lambda grid: [grid.nodes],
+              _curve(["omega_rad_s", "ratio"],
                      lambda model, rx, grid: ratio_alpha_beta(model, rx, grid))),
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
                   cmd_waterfill),
@@ -159,8 +157,6 @@ _COMMANDS = {
 
 # flag -> the (section, key) of the config value that it overrides, and its help
 _FLAGS = {
-    "--grid-points": ("grid", "base_points", "grid base points"),
-    "--refine": ("grid", "refine_levels", "pole refinement levels"),
     "--rl": ("analysis", "load_resistances_ohm", "comma-separated load resistances (ohm)"),
     "--power": ("analysis", "power_w", "transmit power budget (W)"),
 }
@@ -186,16 +182,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", help="JSON config path (defaults to built-in LC setup)")
         p.add_argument("--out", required=True, help="output CSV path")
-        for flag in ("--grid-points", "--refine", *flags):
+        for flag in flags:
             p.add_argument(flag, help=f"override {_FLAGS[flag][2]}")
     sub.add_parser("verify", help="run the physics oracle checks")
     return parser
 
 
 def _flag_value(text: str, default):
-    """A flag's text converted as `default` reads: int, float, or a float per comma-
-    separated item of a list.  Text that does not convert stays a string, which
-    `parse_config` refuses with the same line as that string in a file."""
+    """A flag's text converted as `default` reads: by its type, or as a float
+    per comma-separated item of a list.  Text that does not convert stays a
+    string, which `parse_config` refuses with the same line as in a file."""
     if isinstance(default, list):
         return [_flag_value(item, 0.0) for item in text.split(",")]
     try:
@@ -221,6 +217,8 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify()
     try:
+        if not os.path.basename(args.out):  # else a file would be named from "" alone
+            raise ConfigError(f"--out must name a file, got {args.out!r}")
         config = parse_config(_document(args))
         grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
         files = _COMMANDS[args.command][2](config, grid, args.out)

@@ -175,6 +175,21 @@ class TestPoles:
     def test_line_zero_is_a_pole(self):
         assert poles_in_interval(TLINE_MODEL, 0.0, 1e6)[0] == 0.0
 
+    def test_only_poles_inside_the_interval(self):
+        # the pole ladder's index range is widened by 1e-9 of a step against
+        # roundoff; a pole that widening reaches outside [lo, hi] is dropped
+        step = math.pi * TLINE_MODEL.wave_speed / TLINE_MODEL.length
+        lo, hi = 1000 * step * (1 + 3e-13), 1005 * step * (1 - 3e-13)
+        np.testing.assert_array_equal(poles_in_interval(TLINE_MODEL, lo, hi),
+                                      step * np.arange(1001, 1005))
+        # a pole exactly on an end counts, and so does one an ulp beyond it: it
+        # is returned as that end
+        np.testing.assert_array_equal(poles_in_interval(TLINE_MODEL, 1000 * step, 1005 * step),
+                                      step * np.arange(1000, 1006))
+        lo, hi = np.nextafter(1000 * step, np.inf), np.nextafter(1005 * step, 0)
+        np.testing.assert_array_equal(poles_in_interval(TLINE_MODEL, lo, hi),
+                                      [lo, *(step * np.arange(1001, 1005)), hi])
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             poles_in_interval(LC_MODEL, 2e10, 1e10)

@@ -260,13 +260,13 @@ class TestTransferCommand:
         peaks = {}
         for rl in ("50000", "5e+06"):
             header, data = read_csv(tmp_path / f"transfer_rl{rl}.csv")
-            assert header == ["omega_rad_s", "freq_ghz", "transfer_ohm"]
+            assert header == ["omega_rad_s", "transfer_ohm"]
             assert np.all(np.isfinite(data))
-            peak_idx = np.argmax(data[:, 2])
+            peak_idx = np.argmax(data[:, 1])
             # peak at the node nearest the resonance
             nearest = np.argmin(np.abs(data[:, 0] - LC_MODEL.resonance))
             assert peak_idx == nearest
-            peaks[rl] = data[peak_idx, 2]
+            peaks[rl] = data[peak_idx, 1]
         assert peaks["5e+06"] > peaks["50000"]
         assert peaks["50000"] == pytest.approx(5e4, rel=1e-9)
 
@@ -434,8 +434,8 @@ class TestTable1Command:
     def test_unrefined_grid_accepted(self, tmp_path):
         # the 512 base nodes alone resolve the lower bound once its
         # every-other-node check keeps the last node of an even-sized grid
-        out = tmp_path / "t.csv"
-        assert main(["table1", "--refine", "0", "--out", str(out)]) == 0
+        config, out = write_config(tmp_path, {"grid.refine_levels": 0}), tmp_path / "t.csv"
+        assert main(["table1", "--config", str(config), "--out", str(out)]) == 0
         _, lower, se, upper = read_csv(out)[1].T
         assert np.all((lower < se) & (se < upper))
 
@@ -489,7 +489,7 @@ class TestVerifyCommand:
 
     def test_takes_no_flags(self):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--grid-points", "3"])
+            main(["verify", "--power", "1"])
         assert exc.value.code == 2
 
     def test_python_dash_m(self):
@@ -553,6 +553,20 @@ class TestErrorHandling:
                                            "be a nonempty list of numbers, got []\n")
         assert list(tmp_path.iterdir()) == [config]
 
+    @pytest.mark.parametrize("out", ["", "sub/"])
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_out_without_a_file_name_refused(self, tmp_path, capsys, monkeypatch, command, out):
+        # the files would be named from "" in the working directory or in sub/,
+        # or a temp file made in the parent of the working directory
+        work = tmp_path / "work"
+        (work / "sub").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(cli, "build_grid", lambda *a: pytest.fail("a grid was built"))
+        assert main([command, "--out", out]) == 2
+        assert capsys.readouterr().err == f"config error: --out must name a file, got {out!r}\n"
+        assert list(tmp_path.iterdir()) == [work]
+        assert list(work.iterdir()) == [work / "sub"] and list((work / "sub").iterdir()) == []
+
     def test_bad_rl_list(self, tmp_path):
         assert main(["transfer", "--out", str(tmp_path / "o.csv"), "--rl", "5e4,abc"]) == 2
 
@@ -572,21 +586,24 @@ class TestErrorHandling:
     REFINE_RANGE = "refine_levels must be in [0, 29]"
     POSITIVE_RL = "load_resistance must be positive and finite"
     COARSE = "frequency grid too coarse for the lower-bound integral"
+    UNREFINED = {"base_points": 16, "refine_levels": 0}
+    # a dict in argv stands for a config file: the default one with those overrides
     BAD_INPUTS = {
         "power-zero": (["waterfill", "--power", "0"], POSITIVE_POWER),
         "power-negative": (["waterfill", "--power", "-1"], POSITIVE_POWER),
-        "grid-points-zero": (["waterfill", "--grid-points", "0"], MIN_POINTS),
-        "grid-points-8": (["waterfill", "--grid-points", "8"], MIN_POINTS),
-        "refine-negative": (["waterfill", "--refine", "-1"], REFINE_RANGE),
-        "refine-30": (["sweep", "--refine", "30"], REFINE_RANGE),
-        "refine-2000": (["sweep", "--refine", "2000"], REFINE_RANGE),
+        "base-points-zero": (["waterfill", "--config", {"grid.base_points": 0}], MIN_POINTS),
+        "base-points-8": (["waterfill", "--config", {"grid.base_points": 8}], MIN_POINTS),
+        "refine-negative": (["waterfill", "--config", {"grid.refine_levels": -1}], REFINE_RANGE),
+        "refine-30": (["sweep", "--config", {"grid.refine_levels": 30}], REFINE_RANGE),
+        "refine-2000": (["sweep", "--config", {"grid.refine_levels": 2000}], REFINE_RANGE),
         "rl-negative": (["transfer", "--rl", "-5"], POSITIVE_RL),
         "rl-second-negative": (["transfer", "--rl", "5e4,-5"], POSITIVE_RL),
         "rl-same-file-name": (["ratio", "--rl", "123456.7,123456.8"],
                               "output files would overwrite each other"),
-        "config-base-points-8": (["transfer", "--config", "CONFIG"], MIN_POINTS),
-        "table1-16-nodes": (["table1", "--grid-points", "16", "--refine", "0"], COARSE),
-        "table1-40-nodes": (["table1", "--grid-points", "40", "--refine", "0"], COARSE),
+        "config-base-points-8": (["transfer", "--config", {"grid.base_points": 8}], MIN_POINTS),
+        "table1-16-nodes": (["table1", "--config", {"grid": UNREFINED}], COARSE),
+        "table1-40-nodes": (["table1", "--config", {"grid": {**UNREFINED, "base_points": 40}}],
+                            COARSE),
         # flags obey the config file's number rule
         "power-nan": (["waterfill", "--power", "nan"],
                       "'analysis.power_w' must be a finite number, got nan"),
@@ -598,22 +615,19 @@ class TestErrorHandling:
                    "'analysis.load_resistances_ohm' must be a finite number, got inf"),
         "rl-beyond-float": (["transfer", "--rl", "1e400"],
                             "'analysis.load_resistances_ohm' must be a finite number, got inf"),
-        "grid-points-fraction": (["waterfill", "--grid-points", "512.9"],
-                                 "'grid.base_points' must be an integer, got '512.9'"),
         # only an absent --config means the built-in setup; an empty path shows
         # quoted, not as nothing
         "config-empty-path": (["waterfill", "--config", ""], "cannot read config '': "),
         # 41 in-band poles snapped onto 16 nodes
-        "poles-share-a-node": (["waterfill", "--config",
-                                str(Path(__file__).parent / "tline_600m.json"),
-                                "--grid-points", "16", "--refine", "0"],
-                               "of 41 in-band poles would share a node"),
+        "poles-share-a-node": (["waterfill", "--config", {
+            **json.loads((Path(__file__).parent / "tline_600m.json").read_text()),
+            "grid": UNREFINED}], "25 of 41 in-band poles would share a node"),
     }
 
     @pytest.mark.parametrize("argv, reason", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
     def test_bad_input_exits_2(self, tmp_path, capsys, argv, reason):
-        config = write_config(tmp_path, {"grid.base_points": 8})
-        argv = [str(config) if a == "CONFIG" else a for a in argv]
+        config = write_config(tmp_path, next((a for a in argv if isinstance(a, dict)), {}))
+        argv = [str(config) if isinstance(a, dict) else a for a in argv]
         assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
@@ -659,7 +673,7 @@ class TestErrorHandling:
                             [5e4, math.inf]),
         "rl-string": ("transfer", "--rl", "5e4,abc", "analysis.load_resistances_ohm",
                       [5e4, "abc"]),
-        "refine-string": ("waterfill", "--refine", "x", "grid.refine_levels", "x"),
+        "power-string": ("waterfill", "--power", "abc", "analysis.power_w", "abc"),
     }
 
     @pytest.mark.parametrize("case", SAME_VALUE.values(), ids=SAME_VALUE.keys())
@@ -759,9 +773,8 @@ def test_curve_files_match_the_per_value_reference(tmp_path, kind, command):
     for rl in config.load_resistances:
         rx = replace(config.receiver, load_resistance=rl)
         if command == "transfer":
-            header = ["omega_rad_s", "freq_ghz", "transfer_ohm"]
-            columns = [grid.nodes, grid.nodes / (2 * math.pi * 1e9),
-                       linkmodel.transfer_magnitude(config.channel, rx, grid)]
+            header = ["omega_rad_s", "transfer_ohm"]
+            columns = [grid.nodes, linkmodel.transfer_magnitude(config.channel, rx, grid)]
         else:
             header = ["omega_rad_s", "ratio"]
             columns = [grid.nodes, linkmodel.ratio_alpha_beta(config.channel, rx, grid)]
@@ -825,20 +838,19 @@ class TestFlagOverrides:
         summary = json.loads((tmp_path / "wf_summary.json").read_text())
         assert summary["power_W"] == pytest.approx(3e-14, rel=1e-12)
 
-    def test_grid_flag_creates_the_missing_section(self, tmp_path):
+    def test_flag_creates_the_missing_section(self, tmp_path):
         doc = serialize_config(default_config())
-        del doc["grid"]
-        config = tmp_path / "nogrid.json"
+        del doc["analysis"]
+        config = tmp_path / "noanalysis.json"
         config.write_text(json.dumps(doc))
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["ratio", "--config", str(config), "--grid-points", "100", "--rl", "5e4",
-                     "--out", str(a)]) == 0
-        assert main(["ratio", "--grid-points", "100", "--refine", "6", "--rl", "5e4",
-                     "--out", str(b)]) == 0
-        ratio_a = (tmp_path / "a_rl50000.csv").read_bytes()
-        assert ratio_a == (tmp_path / "b_rl50000.csv").read_bytes()
-        assert len(ratio_a.splitlines()) - 1 == len(build_grid(
-            default_config().band, LC_MODEL, 100, 6).nodes)
+        a, b = tmp_path / "a", tmp_path / "b"
+        for argv, out in ((["--config", str(config)], a), ([], b)):
+            out.mkdir()
+            assert main(["waterfill", *argv, "--power", "1e-13", "--out", str(out / "w.csv")]) == 0
+        assert [p.read_bytes() for p in sorted(a.iterdir())] == \
+            [p.read_bytes() for p in sorted(b.iterdir())]
+        summary = json.loads((a / "w_summary.json").read_text())
+        assert summary["power_W"] == pytest.approx(1e-13, rel=1e-12)
 
 
 class TestReadme:
@@ -853,6 +865,20 @@ class TestReadme:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         paragraph = readme.split("\nFlags: ")[1].split("\n\n")[0]
         assert set(re.findall(r"`(--[a-z-]+)", paragraph)) == {"--config", "--out", *_FLAGS}
+
+    def test_names_no_other_flag(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
+        assert named <= {"--config", "--out", *_FLAGS}
+
+    def test_library_example_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        code = readme.split("\n## Library example\n")[1].split("```python\n")[1].split("```")[0]
+        namespace = {}
+        exec(code, namespace)
+        printed = float(capsys.readouterr().out.splitlines()[0])
+        assert printed == namespace["sol"].capacity / namespace["band"].bandwidth
+        assert printed == pytest.approx(0.500, rel=0.03)  # Table 1's tolerance
 
 
 class TestPackaging:

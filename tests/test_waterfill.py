@@ -109,6 +109,21 @@ class TestBuildGrid:
         for base_points, levels in ((41, 0), (16, 1)):
             grid = build_grid(tline_band, model, base_points, levels)
             assert len(np.unique(grid.pole_nodes)) == 41
+            # the top pole, 12020*pi*c0/L, is an ulp above the rounded band.hi
+            # and is taken as band.hi: no node leaves the band
+            assert grid.nodes[grid.pole_nodes[-1]] == grid.nodes[-1] == tline_band.hi
+
+    @pytest.mark.parametrize("levels", [0, 6])
+    def test_poles_just_outside_the_band_move_no_edge(self, levels):
+        # poles 3e-13 relative outside each band edge, inside the pole ladder's
+        # index tolerance: no node leaves the band, and the weights span it
+        step = math.pi * TLINE_MODEL.wave_speed / TLINE_MODEL.length
+        lo, hi = 1000 * step * (1 + 3e-13), 1005 * step * (1 - 3e-13)
+        band = Band((lo + hi) / 2, (hi - lo) / (2 * math.pi))
+        grid = build_grid(band, TLINE_MODEL, 64, levels)
+        assert grid.nodes[0] == band.lo and grid.nodes[-1] == band.hi
+        assert math.fsum(grid.weights) == pytest.approx(2 * math.pi * band.bandwidth, rel=1e-12)
+        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], step * np.arange(1001, 1005))
 
     def test_base_points_floor(self, lc_band):
         with pytest.raises(ValueError):
