@@ -138,7 +138,10 @@ def parse_config(doc: dict) -> RunConfig:
     if ("carrier_hz" in band) == ("carrier_rad_s" in band):
         raise ConfigError("band needs exactly one of 'carrier_hz' or 'carrier_rad_s'")
     if "carrier_hz" in band:  # read in Hz, built in rad/s
-        rad_s = 2 * math.pi * _number(band["carrier_hz"], "band.carrier_hz")
+        hz = _number(band["carrier_hz"], "band.carrier_hz")
+        rad_s = 2 * math.pi * hz
+        if not math.isfinite(rad_s):  # refused under the key the file holds
+            raise ConfigError(f"'band.carrier_hz' must be finite in rad/s, got {hz!r}")
         band = {"carrier_rad_s": rad_s, **{k: v for k, v in band.items() if k != "carrier_hz"}}
     band = _build(Band, band, "band", "invalid band")
     rest = []  # the grid and analysis keys, in DEFAULT_CONFIG's order: RunConfig's last fields

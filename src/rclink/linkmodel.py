@@ -9,8 +9,8 @@ stay finite on the channel poles, and take a channel model, never a bare
 sample, at omega or on a `FrequencyGrid` built for it, whose reactances they
 read.  alpha/beta is read from one per-node profile, which also marks where
 the channel couples; only readers of beta form it, from the profile's load
-term.  The module holds the grid type and the one trapezoid rule, both also
-used by `waterfill`.
+term.  The module holds the grid type, the one trapezoid rule and the one
+capacity sum over grid nodes, all also used by `waterfill`.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class FrequencyGrid:
     """
 
     nodes: np.ndarray  # rad/s, strictly increasing
-    weights: np.ndarray  # rad/s, positive, summing to the band span
+    weights: np.ndarray  # Hz: trapezoid weights of d omega / 2 pi, summing to the bandwidth
     pole_nodes: np.ndarray  # indices of nodes sitting exactly on poles
     channel: ChannelModel  # the model the grid was built for
     sample: ReactanceSample  # its receive-side reactances at the nodes
@@ -224,11 +224,17 @@ def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of the measure d omega / 2 pi at `nodes` (rad/s), in Hz."""
     w = np.empty_like(nodes)
-    w[1:-1] = (nodes[2:] - nodes[:-2]) / 2
-    w[0] = (nodes[1] - nodes[0]) / 2
-    w[-1] = (nodes[-1] - nodes[-2]) / 2
+    w[1:-1] = (nodes[2:] - nodes[:-2]) / (4 * math.pi)
+    w[0] = (nodes[1] - nodes[0]) / (4 * math.pi)
+    w[-1] = (nodes[-1] - nodes[-2]) / (4 * math.pi)
     return w
+
+
+def _bits(w: np.ndarray, x: np.ndarray) -> float:
+    """sum(w * log2(1 + x)): bits/s for weights w in Hz, the one capacity sum over grid nodes."""
+    return float(np.sum(np.log1p(x) * w)) / math.log(2)
 
 
 def capacity_lower_bound(
@@ -252,11 +258,11 @@ def capacity_lower_bound(
     if band != grid.band:
         raise ValueError("grid was built for another band")
     ratio, coupled = _profile(model, rx, grid)[:2]
-    vals = np.where(coupled, np.log1p(p_t * ratio / band.bandwidth) / math.log(2), 0.0)
+    snr = np.where(coupled, p_t * ratio / band.bandwidth, 0.0)
     del ratio, coupled  # the every-other-node check below holds its own arrays
-    result = float(np.sum(grid.weights * vals) / (2 * math.pi))
-    half = np.r_[0 : len(vals) - 1 : 2, len(vals) - 1]
-    coarse = float(np.sum(_trapezoid_weights(grid.nodes[half]) * vals[half]) / (2 * math.pi))
+    result = _bits(grid.weights, snr)
+    half = np.r_[0 : len(snr) - 1 : 2, len(snr) - 1]
+    coarse = _bits(_trapezoid_weights(grid.nodes[half]), snr[half])
     if result != 0 and abs(result - coarse) > 1e-3 * abs(result):
         raise ValueError(
             "frequency grid too coarse for the lower-bound integral "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelModel, eval_reactances, poles_in_interval
-from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _profile, _Profile,
+from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _bits, _profile, _Profile,
                         _trapezoid_weights)
 
 __all__ = [
@@ -66,13 +66,13 @@ def build_grid(
     base_points: int = DEFAULT_BASE_POINTS,
     refine_levels: int = DEFAULT_REFINE_LEVELS,
 ) -> FrequencyGrid:
-    """Uniform base grid with nested halving refinement around in-band poles.
+    """Uniform base grid with nested halving refinement around the poles in and near the band.
 
-    Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to
-    every pole, h the base spacing; every in-band pole is a node.  Levels
-    past 29 are refused, as their nodes would merge as near-duplicates, and so
-    is a grid on which two in-band poles would snap to one node.  The channel
-    is evaluated once, at the final nodes.
+    Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to every
+    pole within 10h of the band, h the base spacing, keeping the nodes in the band;
+    every in-band pole is a node.  Levels past 29 are refused, as their nodes would
+    merge as near-duplicates, and so is a grid on which two in-band poles would
+    snap to one node.  The channel is evaluated once, at the final nodes.
     """
     if base_points < 16:
         raise ValueError("base_points must be at least 16")
@@ -81,10 +81,13 @@ def build_grid(
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
     poles = poles_in_interval(model, lo, hi)
+    # a pole just outside the band reaches into it with its log singularity
+    near = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
+    centres = np.concatenate([poles, near[(near < lo) | (near > hi)]])
     # doubling is exact, so level l's even-k offsets repeat level l-1's bit for
     # bit: 41 + 20*(levels-1) distinct offsets, and no duplicate node to sort
     offsets = np.unique((h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21))
-    extra = (poles[:, None] + offsets).ravel()
+    extra = (centres[:, None] + offsets).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.concatenate([np.linspace(lo, hi, base_points), extra])
     nodes.sort()
@@ -121,13 +124,12 @@ def _solve(profile: _Profile, rx: ReceiverParams, grid: FrequencyGrid, mu: float
     x = profile.ratio[support]
     x -= mu  # exact near the level, where log2(ratio/mu) and 1/mu - 1/ratio lose digits
     x /= mu
-    w = grid.weights[support] / (2 * math.pi)
-    t = np.log1p(x)  # ln(ratio / mu)
-    capacity = float(np.sum(np.multiply(t, w, out=t))) / math.log(2)
-    x /= np.add(x, 1, out=t)
+    w = grid.weights[support]
+    capacity = _bits(w, x)  # log2(ratio / mu) = log2(1 + x)
+    x /= x + 1
     x /= mu  # 1/mu - 1/ratio = s_it * beta, as alpha = ratio * beta
-    power = float(np.sum(np.multiply(w, x, out=t)))
-    del w, t  # at most three support-sized arrays live beside the profile and the grid
+    power = float(np.sum(w * x))
+    del w  # at most three support-sized arrays live beside the profile and the grid
     x /= _beta(np.square(profile.num_rt[support]), profile.load[support], rx)
     s_it = np.zeros_like(grid.nodes)
     s_it[support] = x
@@ -145,7 +147,7 @@ def solve_for_mu(
 
 def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> tuple[float, float]:
     """The smallest ratio r in the water-filling support at budget p_t, of nodes
-    with ratios r and weights w (quadrature weight over 2 pi), and the water
+    with ratios r and weights w (the grid's, in Hz), and the water
     level mu = W / (p_t + V) over that support.
 
     Newton in 1/mu: the level W / (p_t + V) of the candidates and the nodes
@@ -205,15 +207,14 @@ def solve_for_power(
     `_water_floor` finds the support's smallest alpha/beta, r_k, by Newton
     steps on the water level guarded by median splits, and returns with it
     the level it ended on: mu = W / (p_t + V), W and V the sums of w and w/r
-    over the support (w the quadrature weight over 2 pi).
+    over the support (w the grid's weights, in Hz).
     Budgets below about eps*w/r of the top node are not resolved: the
     returned `power`, that node's smallest representable power, exceeds p_t.
     """
     if not 0 < p_t < math.inf:
         raise ValueError("p_t must be positive and finite")
     prof = _coupled_profile(model, rx, grid)
-    r_k, mu = _water_floor(prof.ratio[prof.coupled], grid.weights[prof.coupled] / (2 * math.pi),
-                           p_t)
+    r_k, mu = _water_floor(prof.ratio[prof.coupled], grid.weights[prof.coupled], p_t)
     # mu < r_k holds exactly; keep roundoff from emptying the support
     mu = min(mu, float(np.nextafter(r_k, 0)))
     return _solve(prof, rx, grid, mu)

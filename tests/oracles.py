@@ -65,12 +65,12 @@ def riemann_capacity_power(model, rx, band, mu, n_points):
 def water_level_by_loop(ratio, weights, p_t):
     """Smallest alpha/beta in the water-filling support at budget p_t, by the
     running-level loop: with the nodes in descending ratio, power the top k at
-    level W_k / (p_t + V_k) (running sums of w and w/r, w = weight / 2 pi)
+    level W_k / (p_t + V_k) (running sums of w and w/r, w the weight in Hz)
     and stop at the first k whose level excludes node k+1."""
     order = np.argsort(ratio, kind="stable")[::-1]
     sum_w = sum_w_over_r = 0.0
     for k, i in enumerate(order):
-        w = weights[i] / (2 * math.pi)
+        w = weights[i]
         sum_w += w
         sum_w_over_r += w / ratio[i]
         if k + 1 == len(order) or sum_w / (p_t + sum_w_over_r) >= ratio[order[k + 1]]:
@@ -79,13 +79,15 @@ def water_level_by_loop(ratio, weights, p_t):
 
 def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     """waterfill.build_grid's nodes from every refinement offset k*h/2**l, |k| <= 20,
+    around the in-band poles and again around every pole within 10h of the band,
     duplicates included, merged by one np.unique; then the same near-duplicate
     drop and pole snap."""
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
     poles = poles_in_interval(model, lo, hi)
+    centres = np.concatenate([poles, poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)])
     offsets = (h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21)
-    extra = (poles[:, None] + offsets.ravel()).ravel()
+    extra = (centres[:, None] + offsets.ravel()).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
     nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]

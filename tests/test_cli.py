@@ -111,6 +111,13 @@ class TestConfig:
         doc["band"] = {"carrier_hz": 3.0e9, "bandwidth_hz": 1.0e7}
         assert parse_config(doc).band.carrier == pytest.approx(2 * math.pi * 3e9)
 
+    @pytest.mark.parametrize("hz", [1e308, -1e308])
+    def test_carrier_hz_overflowing_in_rad_s_names_its_key(self, tmp_path, capsys, hz):
+        config = write_config(tmp_path, {"band": {"carrier_hz": hz, "bandwidth_hz": 1.0e7}})
+        assert main(["waterfill", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: 'band.carrier_hz' must be finite in rad/s, got {hz!r}\n"
+
     def test_invalid_channel_kind(self):
         doc = serialize_config(default_config())
         doc["channel"] = {"kind": "rlc"}

@@ -16,12 +16,13 @@ from rclink import (
     capacity_upper_bound,
     output_psd,
     ratio_alpha_beta,
+    solve_for_power,
     transfer_magnitude,
 )
 from rclink.channels import ReactanceSample, eval_reactances
 from rclink.config import default_config
 
-from conftest import LC_MODEL, POWER_W, QA, make_receiver
+from conftest import LC_MODEL, POWER_W, QA, TLINE_MODEL, make_receiver
 
 W0 = LC_MODEL.resonance
 KB = 1.38e-23
@@ -175,12 +176,20 @@ class TestCapacityBounds:
             lb = capacity_lower_bound(LC_MODEL, make_receiver(rl), lc_band, POWER_W, grid)
             assert lb / lc_band.bandwidth == pytest.approx(expected, rel=0.02)
 
-    def test_zero_temperature_lower_equals_upper(self, lc_band):
-        rx = make_receiver(5e4, temperature=0.0)
-        grid = build_grid(lc_band, LC_MODEL, 512, 6)
-        lb = capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid)
-        ub = capacity_upper_bound(rx, lc_band, POWER_W)
-        assert lb == pytest.approx(ub, rel=1e-9)
+    # at T = 0 alpha/beta is flat, so water-filling powers the whole band at a
+    # flat SNR: C, the lower bound and the upper bound are one number
+    @pytest.mark.parametrize("p_t", [POWER_W, 2.68e-18])
+    @pytest.mark.parametrize("rl", [5e4, 5e6])
+    @pytest.mark.parametrize("kind", ["lc", "shorted"])
+    def test_zero_temperature_lower_equals_upper(self, lc_band, tline_band, kind, rl, p_t):
+        model, band = (LC_MODEL, lc_band) if kind == "lc" else (TLINE_MODEL, tline_band)
+        rx = make_receiver(rl, temperature=0.0)
+        grid = build_grid(band, model, 512, 6)
+        capacity = solve_for_power(model, rx, grid, p_t).capacity
+        lb = capacity_lower_bound(model, rx, band, p_t, grid)
+        ub = capacity_upper_bound(rx, band, p_t)
+        for value in (capacity, lb):
+            assert value == pytest.approx(ub, rel=1e-12)
 
     def test_lower_bound_is_flat_snr_integral(self, lc_band):
         # p_t * (alpha/beta) / B equals snr0 * psi, the zero-temperature SNR
@@ -192,7 +201,7 @@ class TestCapacityBounds:
             den = QA * (s.num_r**2 + rl**2 * s.denom**2)
             psi = den / (den + 2 * 100.0**2 * KB * 300.0 * rl * s.num_r**2)
             snr0 = POWER_W * 100.0**2 * rl / (2 * lc_band.bandwidth * QA)
-            expected = np.sum(grid.weights * np.log2(1 + snr0 * psi)) / (2 * math.pi)
+            expected = np.sum(grid.weights * np.log2(1 + snr0 * psi))
             lb = capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid)
             assert lb == pytest.approx(expected, rel=1e-14)
 
@@ -204,7 +213,7 @@ class TestCapacityBounds:
         grid = build_grid(band, cfg.channel, cfg.base_points, cfg.refine_levels)
         coupled = grid.sample.num_rt != 0
         r, w = ratio_alpha_beta(cfg.channel, rx, grid)[coupled], grid.weights[coupled]
-        linear = p_t * float(np.sum(w * r)) / (band.bandwidth * math.log(2) * 2 * math.pi)
+        linear = p_t * float(np.sum(w * r)) / (band.bandwidth * math.log(2))
         lb = capacity_lower_bound(cfg.channel, rx, band, p_t, grid)
         assert abs(lb - linear) <= 1e-12 * linear
         snr = p_t * rx.amp_gain**2 * rx.load_resistance / (2 * band.bandwidth

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -330,14 +331,31 @@ class TestLcTransfer:
     @settings(deadline=None)
     @example(case=(W0 * complex(1, -0.01), 2500 / W0, 0.01 / W0))
     @example(case=(complex(0, -W0), 25 / W0, 0.01 / W0))
+    # off by 1.29e-12 relative, past a flat 1e-12 bound: the table phases carry
+    # roundoff of about eps*|w*step|*m
+    @example(case=(complex(0.04750051642944412, -224416907), 8.912430142608736e-08,
+                   2.5224518532967423e-12))
     @given(case=lc_integrals())
     def test_matches_linspace_trapezoid(self, case):
+        """The trapezoid sum on the n + 1 linspace nodes, each train q^m, m <= n,
+        summed exactly by its geometric closed form, within `TestTrain`'s
+        rounding model summed over both trains."""
         omega, horizon, dt = case
-        t = np.linspace(0.0, horizon, math.ceil(horizon / dt) + 1)
-        integrand = (np.cos(self.W0 * t) / LC_MODEL.capacitance) * np.exp(-1j * omega * t)
-        expected = np.trapezoid(integrand, t)
-        approx = lc_transfer_from_impulse(LC_MODEL, omega, horizon, dt)
-        assert abs(approx - expected) <= 1e-12 * abs(expected)
+        n = math.ceil(horizon / dt)
+        step, m, b = horizon / n, np.arange(n + 1), math.isqrt(n) + 1
+        expected, bound = mpmath.mpc(0), 0.0
+        with mpmath.workdps(40):
+            for sign in (-1, 1):
+                w = mpmath.mpc(omega) + sign * mpmath.mpf(self.W0)
+                q = mpmath.exp(-1j * w * mpmath.mpf(horizon) / n)
+                expected += (1 - q ** (n + 1)) / (1 - q) - (1 + q**n) / 2
+                phase = (omega + sign * self.W0) * step
+                bound += math.fsum((8 * (1 + abs(phase) * m) + 2 * (b + 1))
+                                   * np.exp(phase.imag * m))
+            expected = complex(expected * mpmath.mpf(horizon) / n
+                               / (2 * mpmath.mpf(LC_MODEL.capacitance)))
+        bound *= EPS * step / (2 * LC_MODEL.capacitance)
+        assert abs(lc_transfer_from_impulse(LC_MODEL, omega, horizon, dt) - expected) <= bound
 
     def test_rejects_coarse_dt(self):
         omega = complex(self.W0, -0.1 * self.W0)

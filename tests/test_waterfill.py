@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from rclink import (
 )
 from rclink.cli import main
 from rclink.waterfill import _water_floor
-from rclink.config import DEFAULT_TLINE_CHANNEL, default_config, serialize_config
+from rclink.config import DEFAULT_TLINE_CHANNEL, default_config, load_config, serialize_config
 
 from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
 from oracles import grid_nodes_by_full_broadcast, riemann_capacity_power, water_level_by_loop
@@ -65,13 +66,13 @@ class TestBuildGrid:
     def test_quadrature_weights(self, lc_grid, lc_band):
         assert np.all(lc_grid.weights > 0)
         assert np.all(np.diff(lc_grid.nodes) > 0)
-        assert np.sum(lc_grid.weights) == pytest.approx(2 * math.pi * lc_band.bandwidth, rel=1e-12)
+        assert np.sum(lc_grid.weights) == pytest.approx(lc_band.bandwidth, rel=1e-12)
         assert lc_grid.nodes[0] >= lc_band.lo and lc_grid.nodes[-1] <= lc_band.hi
 
     @pytest.mark.parametrize("case, count, digest, pole_nodes", [
         ("lc", 633, "96211c93ebba5e85", [316]),
         ("tline5", 1197, "a02f38769d0c00b8", [122, 365, 598, 831, 1074]),
-        ("tline501", 74599, "332b68e9a3fbae3c", None),
+        ("tline501", 74629, "f946a4c630dc03ed", None),
     ], ids=["lc", "tline5", "tline501"])
     def test_nodes_pinned(self, lc_band, tline_band, case, count, digest, pole_nodes):
         # sha256 prefixes of nodes.tobytes(): the grid must stay bit-identical
@@ -122,8 +123,26 @@ class TestBuildGrid:
         band = Band((lo + hi) / 2, (hi - lo) / (2 * math.pi))
         grid = build_grid(band, TLINE_MODEL, 64, levels)
         assert grid.nodes[0] == band.lo and grid.nodes[-1] == band.hi
-        assert math.fsum(grid.weights) == pytest.approx(2 * math.pi * band.bandwidth, rel=1e-12)
+        assert math.fsum(grid.weights) == pytest.approx(band.bandwidth, rel=1e-12)
         np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], step * np.arange(1001, 1005))
+
+    @pytest.mark.parametrize("outside", [1e-9, 1.0])
+    def test_pole_just_above_the_band_gets_a_window(self, outside):
+        # the 600 m line's pole 12020 sits `outside` base spacings above band.hi,
+        # and its log singularity reaches into the band: with no window around
+        # it, the base node at band.hi, 1e-9 h from it, gets the lower bound
+        # refused and puts C 9.1e-4 off the fine grid's
+        config = load_config(Path(__file__).parent / "tline_600m.json")
+        model, rx = config.channel, config.receiver
+        top = math.pi * model.wave_speed / model.length * 12020
+        h = 2 * math.pi * config.band.bandwidth / 511
+        band = Band(top - outside * h - math.pi * config.band.bandwidth, config.band.bandwidth)
+        assert poles_in_interval(model, band.hi, band.hi + h).tolist() == [top]
+        fine = build_grid(band, model, 64 * 512, 12)
+        for grid_of in (lambda g: capacity_lower_bound(model, rx, band, POWER_W, g),
+                        lambda g: solve_for_power(model, rx, g, POWER_W).capacity):
+            reference = grid_of(fine)
+            assert abs(grid_of(build_grid(band, model)) - reference) <= 2e-4 * reference
 
     def test_base_points_floor(self, lc_band):
         with pytest.raises(ValueError):
@@ -361,7 +380,7 @@ class TestSweep:
         and log2(r/mu) would cancel; power against an exact rational sum, and
         capacity against log1p of the exactly formed (r - mu)/mu."""
         r = ratio_alpha_beta(LC_MODEL, receiver, lc_grid.nodes)
-        w = lc_grid.weights / (2 * math.pi)
+        w = lc_grid.weights
         for point in sweep(LC_MODEL, receiver, lc_grid).points[:6]:
             assert np.any(point.support_mask)
             mu = Fraction(point.mu)
@@ -422,8 +441,7 @@ class TestRandomShortedLines:
         assert np.all(np.diff(grid.nodes) > 0)
         np.testing.assert_array_equal(grid.nodes[grid.pole_nodes],
                                       poles_in_interval(model, tline_band.lo, tline_band.hi))
-        assert np.sum(grid.weights) == pytest.approx(2 * math.pi * tline_band.bandwidth,
-                                                     rel=1e-12)
+        assert np.sum(grid.weights) == pytest.approx(tline_band.bandwidth, rel=1e-12)
 
         rx = make_receiver(rl)
         p_t = power_scale * POWER_W
@@ -468,7 +486,7 @@ class TestRandomShortedLines:
 def assert_plain_sum_level(mu, ratio, weights, p_t, support):
     """mu is within a few ulps of W / (p_t + V) summed plainly over `support`:
     both are sums of the same positive terms, accumulated in another order."""
-    w = weights[support] / (2 * math.pi)
+    w = weights[support]
     plain = np.sum(w) / (p_t + np.sum(w / ratio[support]))
     assert abs(mu - plain) <= 8 * np.spacing(plain)
 
@@ -491,7 +509,7 @@ def assert_breakpoints_exact(model, rx, grid):
         # 1e-12 relative, plus what that tolerance on the level moves C by,
         # dC/dmu = -W_j/(mu ln 2) with W_j the support's weight: where the
         # ratio plateaus, C is small against W_j and p_j carries cancellation
-        w_j = np.sum(grid.weights[coupled & (ratio >= r_j)]) / (2 * math.pi)
+        w_j = np.sum(grid.weights[coupled & (ratio >= r_j)])
         assert abs(sol.capacity - ref.capacity) <= 1e-12 * (ref.capacity + w_j / math.log(2))
         levels.append(r_j)
         caps.append(sol.capacity)
@@ -514,8 +532,7 @@ class TestWaterFloor:
     def join_budgets(r, weights):
         """Each distinct ratio's join budget, sum of w (1/r_j - 1/r) over r > r_j:
         positive terms, so exact to a few ulps."""
-        w = weights / (2 * math.pi)
-        return {float(r_j): float(np.sum(w[r > r_j] * (1 / r_j - 1 / r[r > r_j])))
+        return {float(r_j): float(np.sum(weights[r > r_j] * (1 / r_j - 1 / r[r > r_j])))
                 for r_j in np.unique(r)}
 
     @settings(max_examples=300, deadline=None)
@@ -539,7 +556,7 @@ class TestWaterFloor:
                 return
         else:
             p_t = joins[distinct[0]] * (1 + u) + 1e-6 * float(np.sum(weights / r))
-        got, mu = _water_floor(r.copy(), weights / (2 * math.pi), p_t)
+        got, mu = _water_floor(r.copy(), weights, p_t)
         assert_plain_sum_level(mu, r, weights, p_t, r >= got)
         expected = water_level_by_loop(r, weights, p_t)
         if budget == "above-full-band":
@@ -572,11 +589,11 @@ class TestWaterFloor:
         # alone takes 78 passes, the median splits halve the candidates instead
         n = 1000
         i = np.arange(1, n + 1)
-        r, weights = 1.0 / i, 2.0 ** (i - 900.0) * (2 * math.pi)
+        r, weights = 1.0 / i, 2.0 ** (i - 900.0)
         passes = []
         count_nonzero = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(1) or count_nonzero(a))
-        got, mu = _water_floor(r.copy(), weights / (2 * math.pi), 1e-3)
+        got, mu = _water_floor(r.copy(), weights, 1e-3)
         monkeypatch.undo()
         assert got == water_level_by_loop(r, weights, 1e-3)
         assert_plain_sum_level(mu, r, weights, 1e-3, r >= got)
