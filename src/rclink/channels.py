@@ -95,12 +95,12 @@ class _Line:
 
     def poles(self, lo: float, hi: float) -> np.ndarray:
         step = math.pi * self.wave_speed / self.length
-        # the index range is widened against roundoff in lo/step and hi/step; a pole
-        # within 1e-15 relative (a few ulps) of an end is on it, and none outside is kept
+        # the index range is widened against roundoff in lo/step and hi/step, and
+        # any pole that widening reaches outside [lo, hi] is dropped
         l_min = max(math.ceil(lo / step - 1e-9), 0)
         l_max = math.floor(hi / step + 1e-9)
         poles = step * np.arange(l_min, l_max + 1, dtype=float)
-        return np.clip(poles[(lo * (1 - 1e-15) <= poles) & (poles <= hi * (1 + 1e-15))], lo, hi)
+        return poles[(lo <= poles) & (poles <= hi)]
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def eval_reactances(model: ChannelModel, omega) -> ReactanceSample:
 
 
 def poles_in_interval(model: ChannelModel, lo: float, hi: float) -> np.ndarray:
-    """The real poles of `model` in [lo, hi], sorted; one within roundoff of an end is that end.
+    """Exactly the real poles of `model` in [lo, hi], sorted.
 
     LC has the single positive pole 1/sqrt(LC); the line models have poles at
     pi*c0*l/length for integer l >= 0 (omega=0 counts as a pole for the lines

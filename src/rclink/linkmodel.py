@@ -112,7 +112,7 @@ class FrequencyGrid:
 
     nodes: np.ndarray  # rad/s, strictly increasing
     weights: np.ndarray  # Hz: trapezoid weights of d omega / 2 pi, summing to the bandwidth
-    pole_nodes: np.ndarray  # indices of nodes sitting exactly on poles
+    pole_nodes: np.ndarray  # per in-band pole, the node it snapped to; an edge node keeps the edge
     channel: ChannelModel  # the model the grid was built for
     sample: ReactanceSample  # its receive-side reactances at the nodes
     band: Band  # the band the nodes span

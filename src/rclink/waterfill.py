@@ -70,9 +70,9 @@ def build_grid(
 
     Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to every
     pole within 10h of the band, h the base spacing, keeping the nodes in the band;
-    every in-band pole is a node.  Levels past 29 are refused, as their nodes would
-    merge as near-duplicates, and so is a grid on which two in-band poles would
-    snap to one node.  The channel is evaluated once, at the final nodes.
+    the band edges and every in-band pole are nodes.  Levels past 29, whose nodes
+    would merge as near-duplicates, are refused, as is a grid on which two in-band
+    poles would snap to one node.  The channel is evaluated once, at the final nodes.
     """
     if base_points < 16:
         raise ValueError("base_points must be at least 16")
@@ -80,10 +80,9 @@ def build_grid(
         raise ValueError(f"refine_levels must be in [0, {_MAX_REFINE_LEVELS}]")
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
-    poles = poles_in_interval(model, lo, hi)
     # a pole just outside the band reaches into it with its log singularity
-    near = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
-    centres = np.concatenate([poles, near[(near < lo) | (near > hi)]])
+    centres = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
+    poles = centres[(centres >= lo) & (centres <= hi)]
     # doubling is exact, so level l's even-k offsets repeat level l-1's bit for
     # bit: 41 + 20*(levels-1) distinct offsets, and no duplicate node to sort
     offsets = np.unique((h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21))
@@ -92,9 +91,9 @@ def build_grid(
     nodes = np.concatenate([np.linspace(lo, hi, base_points), extra])
     nodes.sort()
     del extra, offsets
-    # drop near-duplicates, exact ones included, that would produce tiny
-    # weights, then snap the nearest surviving node onto each pole exactly
-    # (the lower one on a tie)
+    # drop near-duplicates, exact ones included, that would produce tiny weights,
+    # then snap the nearest surviving node onto each pole exactly (the lower one on
+    # a tie); the edges stay nodes, so a pole within h*1e-9 of one sits on it
     nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
     right = np.clip(np.searchsorted(nodes, poles), 1, len(nodes) - 1)
     pole_idx = right - (poles - nodes[right - 1] <= nodes[right] - poles)
@@ -103,6 +102,7 @@ def build_grid(
                          "poles would share a node with another; raise base_points or "
                          "refine_levels")
     nodes[pole_idx] = poles
+    nodes[0], nodes[-1] = lo, hi
     weights = _trapezoid_weights(nodes)
     s = eval_reactances(model, nodes)
     for a in (nodes, weights, pole_idx, s.num_r, s.num_rt, s.denom):

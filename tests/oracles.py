@@ -79,13 +79,13 @@ def water_level_by_loop(ratio, weights, p_t):
 
 def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     """waterfill.build_grid's nodes from every refinement offset k*h/2**l, |k| <= 20,
-    around the in-band poles and again around every pole within 10h of the band,
-    duplicates included, merged by one np.unique; then the same near-duplicate
-    drop and pole snap."""
+    around every pole within 10h of the band, duplicates included, merged by one
+    np.unique; then the same near-duplicate drop, snap onto the in-band poles and
+    band edges written last."""
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
-    poles = poles_in_interval(model, lo, hi)
-    centres = np.concatenate([poles, poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)])
+    centres = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
+    poles = centres[(lo <= centres) & (centres <= hi)]
     offsets = (h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21)
     extra = (centres[:, None] + offsets.ravel()).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
@@ -93,4 +93,5 @@ def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
     right = np.clip(np.searchsorted(nodes, poles), 1, len(nodes) - 1)
     nodes[right - (poles - nodes[right - 1] <= nodes[right] - poles)] = poles
+    nodes[0], nodes[-1] = lo, hi
     return nodes

@@ -31,6 +31,7 @@ from rclink.timedomain import (
     shorted_line_series_v,
 )
 from rclink import TLineOpenEnds, TLineShortedTapped
+from rclink.linkmodel import BOLTZMANN
 
 from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
 from oracles import riemann_capacity_power
@@ -235,3 +236,53 @@ def test_criterion_11_grid_convergence(lc_band):
         worst = max(worst, abs(ses[1] - ses[0]) / ses[0])
     assert worst < 1e-3
     print(f"PASS criterion 11: doubling base points shifts SEs by at most {worst:.2e}")
+
+
+def test_criterion_12_capacity_gap_law(tline_band):
+    # at high SNR each receive-side pole costs the flat-SNR allocation
+    # |res_R,l|*(kappa - 1)/(R_L ln 2) b/s, with kappa**2 = 1 + 2 g**2 k T R_L/Q_A,
+    # so sqrt(R_L)*(upper - C)/B tends to K = sum_l |res_R,l| sqrt(2 g**2 k T/Q_A)/(B ln 2),
+    # res_R,l = -z0 c0 sin**2(l pi x_r/L)/L at the in-band modes l = 1498..1502
+    model, rx = TLINE_MODEL, make_receiver(5e4)
+    assert poles_in_interval(model, tline_band.lo, tline_band.hi).tolist() == [
+        math.pi * model.wave_speed / model.length * l for l in range(1498, 1503)]
+    residues = sum(model.char_impedance * model.wave_speed / model.length
+                   * math.sin(l * math.pi * model.x_receive / model.length) ** 2
+                   for l in range(1498, 1503))
+    noise = 2 * rx.amp_gain**2 * BOLTZMANN * rx.temperature / rx.amp_noise_density
+    k = residues * math.sqrt(noise) / (tline_band.bandwidth * math.log(2))
+    assert k == pytest.approx(378.2802, abs=1e-4)
+    # the loaded poles' half-widths |res_R,l|/R_L are far below the default
+    # grid's finest spacing, so the law needs a fine grid
+    grid = build_grid(tline_band, model, 131072, 24)
+    assert len(grid.nodes) == 133557
+    rows = []
+    for rl in (5e10, 5e12):
+        rx = make_receiver(rl)
+        upper = capacity_upper_bound(rx, tline_band, POWER_W)
+        for value in (solve_for_power(model, rx, grid, POWER_W).capacity,
+                      capacity_lower_bound(model, rx, tline_band, POWER_W, grid)):
+            gap = math.sqrt(rl) * (upper - value) / tline_band.bandwidth
+            assert gap == pytest.approx(k, rel=1e-3)
+            rows.append(f"{gap:.2f}")
+    print(f"PASS criterion 12: sqrt(R_L)*(upper - C, lower)/B {rows} within 0.1% of K = {k:.2f}")
+
+
+# the continuous LC problem's spectral efficiencies at R_L = 5e4, 5e5, 5e6
+# (mpmath 30-digit quadrature split at the pole and the support edges)
+CONTINUOUS_LOWER = (0.425575941, 3.575320330, 9.667984990)
+CONTINUOUS_C = (0.499980609, 3.673112672, 9.681265596)
+
+
+@pytest.mark.parametrize("base_points, tol", [(BASE_POINTS, 2e-5), (65536, 1e-8)])
+def test_criterion_15_table1_against_continuous_lc(lc_band, base_points, tol):
+    grid = build_grid(lc_band, LC_MODEL, base_points, REFINE)
+    worst = 0.0
+    for (rl, _, _, _), lower, c in zip(TABLE1, CONTINUOUS_LOWER, CONTINUOUS_C):
+        rx = make_receiver(rl)
+        for got, want in ((capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid), lower),
+                          (solve_for_power(LC_MODEL, rx, grid, POWER_W).capacity, c)):
+            worst = max(worst, abs(got / lc_band.bandwidth / want - 1))
+    assert worst <= tol
+    print(f"PASS criterion 15: {base_points} base points, lower bound and C within "
+          f"{worst:.1e} of the continuous LC problem")

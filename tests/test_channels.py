@@ -182,13 +182,12 @@ class TestPoles:
         lo, hi = 1000 * step * (1 + 3e-13), 1005 * step * (1 - 3e-13)
         np.testing.assert_array_equal(poles_in_interval(TLINE_MODEL, lo, hi),
                                       step * np.arange(1001, 1005))
-        # a pole exactly on an end counts, and so does one an ulp beyond it: it
-        # is returned as that end
+        # a pole exactly on an end counts, and one an ulp beyond it does not
         np.testing.assert_array_equal(poles_in_interval(TLINE_MODEL, 1000 * step, 1005 * step),
                                       step * np.arange(1000, 1006))
         lo, hi = np.nextafter(1000 * step, np.inf), np.nextafter(1005 * step, 0)
         np.testing.assert_array_equal(poles_in_interval(TLINE_MODEL, lo, hi),
-                                      [lo, *(step * np.arange(1001, 1005)), hi])
+                                      step * np.arange(1001, 1005))
 
     def test_bad_interval(self):
         with pytest.raises(ValueError):

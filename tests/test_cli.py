@@ -625,10 +625,10 @@ class TestErrorHandling:
         # only an absent --config means the built-in setup; an empty path shows
         # quoted, not as nothing
         "config-empty-path": (["waterfill", "--config", ""], "cannot read config '': "),
-        # 41 in-band poles snapped onto 16 nodes
+        # 40 in-band poles snapped onto 16 nodes
         "poles-share-a-node": (["waterfill", "--config", {
             **json.loads((Path(__file__).parent / "tline_600m.json").read_text()),
-            "grid": UNREFINED}], "25 of 41 in-band poles would share a node"),
+            "grid": UNREFINED}], "24 of 40 in-band poles would share a node"),
     }
 
     @pytest.mark.parametrize("argv, reason", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())

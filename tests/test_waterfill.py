@@ -97,34 +97,42 @@ class TestBuildGrid:
             assert grid.pole_nodes.tolist() == pole_nodes
 
     def test_poles_sharing_a_node_refused(self, tline_band):
-        # 41 in-band poles of a 600 m line, 16 base nodes and no refinement:
+        # 40 in-band poles of a 600 m line, 16 base nodes and no refinement:
         # the poles snap onto 16 nodes
         length = 600.0
         model = TLineShortedTapped(50.0, 3.0e8, length, length / 7, 8 * length / 13)
-        assert len(poles_in_interval(model, tline_band.lo, tline_band.hi)) == 41
-        with pytest.raises(ValueError, match="^25 of 41 in-band poles would share a node"):
+        poles = poles_in_interval(model, tline_band.lo, tline_band.hi)
+        assert len(poles) == 40
+        with pytest.raises(ValueError, match="^24 of 40 in-band poles would share a node"):
             build_grid(tline_band, model, 16, 0)
-        with pytest.raises(ValueError, match="^1 of 41 in-band poles"):
+        with pytest.raises(ValueError, match="^1 of 40 in-band poles"):
             build_grid(tline_band, model, 40, 0)
         # one node per pole, or refinement, makes every pole its own node
+        top = math.pi * model.wave_speed / model.length * 12020
         for base_points, levels in ((41, 0), (16, 1)):
             grid = build_grid(tline_band, model, base_points, levels)
-            assert len(np.unique(grid.pole_nodes)) == 41
-            # the top pole, 12020*pi*c0/L, is an ulp above the rounded band.hi
-            # and is taken as band.hi: no node leaves the band
-            assert grid.nodes[grid.pole_nodes[-1]] == grid.nodes[-1] == tline_band.hi
+            assert len(np.unique(grid.pole_nodes)) == 40
+            np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], poles)
+            # the top pole, 12020*pi*c0/L, is an ulp above the rounded band.hi:
+            # it is not in the band, and the last node is band.hi
+            assert top > tline_band.hi and grid.nodes[-1] == tline_band.hi
 
     @pytest.mark.parametrize("levels", [0, 6])
-    def test_poles_just_outside_the_band_move_no_edge(self, levels):
+    @pytest.mark.parametrize("inset", [3e-13, -5e-14], ids=["outside", "inside"])
+    def test_poles_by_the_band_edges_move_no_edge(self, levels, inset):
         # poles 3e-13 relative outside each band edge, inside the pole ladder's
-        # index tolerance: no node leaves the band, and the weights span it
+        # index tolerance, or 5e-14 inside, under the near-duplicate distance
+        # h*1e-9, where each sits on its edge node: the edges are nodes, and the
+        # weights span the band
         step = math.pi * TLINE_MODEL.wave_speed / TLINE_MODEL.length
-        lo, hi = 1000 * step * (1 + 3e-13), 1005 * step * (1 - 3e-13)
+        lo, hi = 1000 * step * (1 + inset), 1005 * step * (1 - inset)
         band = Band((lo + hi) / 2, (hi - lo) / (2 * math.pi))
         grid = build_grid(band, TLINE_MODEL, 64, levels)
         assert grid.nodes[0] == band.lo and grid.nodes[-1] == band.hi
-        assert math.fsum(grid.weights) == pytest.approx(band.bandwidth, rel=1e-12)
-        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], step * np.arange(1001, 1005))
+        assert abs(math.fsum(grid.weights) / band.bandwidth - 1) <= 1e-12
+        inner = step * np.arange(1001, 1005)
+        pole_values = inner if inset > 0 else [band.lo, *inner, band.hi]
+        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], pole_values)
 
     @pytest.mark.parametrize("outside", [1e-9, 1.0])
     def test_pole_just_above_the_band_gets_a_window(self, outside):
@@ -143,6 +151,19 @@ class TestBuildGrid:
                         lambda g: solve_for_power(model, rx, g, POWER_W).capacity):
             reference = grid_of(fine)
             assert abs(grid_of(build_grid(band, model)) - reference) <= 2e-4 * reference
+
+    def test_pole_an_ulp_inside_an_edge_sits_on_the_edge_node(self, tline_band):
+        # pole 5000 of this line is one ulp above band.lo: the near-duplicate
+        # filter drops it or the edge node, and the snap must not move the edge
+        length = 250.41736227045072
+        model = TLineShortedTapped(50.0, 3.0e8, length, length / 7, 8 * length / 13)
+        poles = poles_in_interval(model, tline_band.lo, tline_band.hi)
+        assert poles[0] == np.nextafter(tline_band.lo, np.inf)
+        grid = build_grid(tline_band, model)
+        assert grid.nodes[0] == tline_band.lo and grid.nodes[-1] == tline_band.hi
+        assert grid.pole_nodes[0] == 0
+        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes[1:]], poles[1:])
+        assert abs(math.fsum(grid.weights) / tline_band.bandwidth - 1) <= 1e-12
 
     def test_base_points_floor(self, lc_band):
         with pytest.raises(ValueError):
@@ -481,6 +502,56 @@ class TestRandomShortedLines:
         model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
         grid = build_grid(tline_band, model, max(16, round(points_per_pole * poles)), 6)
         assert_breakpoints_exact(model, make_receiver(rl), grid)
+
+    # an edge offset from a pole: ("ulps", k) or ("near", u) for u*h*1e-9, that
+    # is up to twice the near-duplicate distance
+    EDGE_OFFSET = st.one_of(st.tuples(st.just("ulps"), st.integers(-4, 4)),
+                            st.tuples(st.just("near"), st.floats(-2.0, 2.0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spans=st.integers(1, 60),
+        taps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+        points_per_pole=st.sampled_from([8, 12, 32]),
+        levels=st.integers(0, 6),
+        lo_offset=EDGE_OFFSET,
+        hi_offset=EDGE_OFFSET,
+    )
+    def test_band_edges_at_poles(self, tline_band, spans, taps, points_per_pole, levels,
+                                 lo_offset, hi_offset):
+        # a band whose edges sit at two poles `spans` steps apart, give or take
+        # a few ulps or up to 2*h*1e-9
+        length = spans * 3.0e8 / (2 * tline_band.bandwidth)
+        model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
+        step = math.pi * model.wave_speed / model.length
+        ladder = poles_in_interval(model, tline_band.lo - 2 * step, tline_band.hi + 2 * step)
+        first = np.argmin(abs(ladder - tline_band.lo))
+        p_lo, p_hi = ladder[first], ladder[first + spans]
+        base_points = max(16, points_per_pole * spans)
+        spacing = (p_hi - p_lo) / (base_points - 1)
+
+        def shift(pole, offset):
+            kind, amount = offset
+            if kind == "near":
+                return pole + amount * spacing * 1e-9
+            for _ in range(abs(amount)):
+                pole = np.nextafter(pole, math.copysign(math.inf, amount))
+            return float(pole)
+
+        lo, hi = shift(p_lo, lo_offset), shift(p_hi, hi_offset)
+        band = Band((lo + hi) / 2, (hi - lo) / (2 * math.pi))
+        grid = build_grid(band, model, base_points, levels)
+
+        assert grid.nodes[0] == band.lo and grid.nodes[-1] == band.hi
+        assert np.all(np.diff(grid.nodes) > 0)
+        assert abs(math.fsum(grid.weights) / band.bandwidth - 1) <= 1e-12
+        poles = poles_in_interval(model, band.lo, band.hi)
+        h = (band.hi - band.lo) / (base_points - 1)
+        # with no refinement a pole snaps onto its nearest base node, and an edge
+        # node stays the edge, so there only poles over h/2 inside must be nodes
+        gap = h * 1e-9 if levels else h / 2
+        inside = (poles - band.lo > gap) & (band.hi - poles > gap)
+        assert np.all(np.isin(poles[inside], grid.nodes))
 
 
 def assert_plain_sum_level(mu, ratio, weights, p_t, support):
