@@ -112,7 +112,7 @@ class FrequencyGrid:
 
     nodes: np.ndarray  # rad/s, strictly increasing
     weights: np.ndarray  # Hz: trapezoid weights of d omega / 2 pi, summing to the bandwidth
-    pole_nodes: np.ndarray  # per in-band pole, the node it snapped to; an edge node keeps the edge
+    pole_nodes: np.ndarray  # per in-band pole, its node; within h*1e-9 of an edge, the edge node
     channel: ChannelModel  # the model the grid was built for
     sample: ReactanceSample  # its receive-side reactances at the nodes
     band: Band  # the band the nodes span

@@ -1,18 +1,19 @@
-"""Bounce-series oracles for the frequency-domain closed forms.
+"""Bounce-series oracles for the channels' reactances at complex frequencies.
 
 The line channels admit time-domain solutions as trains of reflected
 impulses; their Fourier transforms are geometric series that converge for
 Im(omega) < 0.  Evaluating truncated series at complex frequencies in the
-region of convergence gives an independent check of the closed-form impedance
-expressions without discretizing delta functions.  Each series is its first
-terms times the train sum_{m<n} q^m, never summed through the geometric closed
-form (1 - q^n)/(1 - q), which would tie the oracle to the closed form it
-checks.  With m = b*j + k and b about sqrt(n), the exponent law makes each q^m
-a product of two table entries, and the distributive law makes the train the
-product of two table sums (`_train`): O(sqrt(n)) time and memory, not O(n).
-The LC channel, whose impulse response is delta-free, also gets a direct
-time-integral check, its trapezoid sum formed from two trains.
-`oracle_checks` runs every comparison at fixed geometries and yields one
+region of convergence checks each channel's own `reactances`, the code the
+solvers run, continued off the real axis, without discretizing delta
+functions.  Each series is its first terms times the train sum_{m<n} q^m,
+never summed through the geometric closed form (1 - q^n)/(1 - q), which would
+tie the oracle to the closed form it checks.  With m = b*j + k and b about
+sqrt(n), the exponent law makes each q^m a product of two table entries, and
+the distributive law makes the train the product of two table sums (`_train`):
+O(sqrt(n)) time and memory, not O(n).  The LC channel, whose impulse response
+is delta-free, gets a direct time-integral check instead, its trapezoid sum
+formed from two trains.  `oracle_checks` runs every comparison at fixed
+geometries, with one `reactances` call per geometry, and yields one
 (name, ok, detail) record per check, with `ok` a plain bool; `rclink verify`
 prints them.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,11 +30,8 @@ from .channels import LcParallel, TLineOpenEnds, TLineShortedTapped, eval_reacta
 
 __all__ = [
     "open_line_series_vi",
-    "open_line_closed_vi",
     "shorted_line_series_v",
-    "shorted_line_closed_v",
     "lc_transfer_from_impulse",
-    "lc_transfer_closed",
     "oracle_checks",
 ]
 
@@ -42,10 +41,10 @@ def _require_lower_half(omega: complex):
         raise ValueError("series converge only for finite omega with Im(omega) < 0")
 
 
-def _require_series_args(omega: complex, x: float, terms: int):
+def _require_series_args(model, omega: complex, x: float, terms: int):
     _require_lower_half(omega)
-    if not -math.inf < x < math.inf:
-        raise ValueError("x must be finite")
+    if not 0.0 <= x <= model.length:
+        raise ValueError("x must lie in [0, length]")
     if isinstance(terms, bool) or not isinstance(terms, (int, np.integer)) or terms < 1:
         raise ValueError("terms must be an int of at least 1")
 
@@ -68,31 +67,19 @@ def open_line_series_vi(
 ) -> tuple[complex, complex]:
     """Partial sums of the open-line bounce series: (V(omega,x)/I1, I(omega,x)/I1).
 
-    Each reflection pair contributes one right-going and one left-going
-    exponential; the voltage reflection coefficient at the open ends is +1,
-    the current coefficient -1.  Both trains share the round-trip factor:
-    fwd_m = exp(-i*omega*x/c0) * q^m and bwd_m = exp(i*omega*(x-2L)/c0) * q^m,
-    with q^m = exp(-2i*omega*L*m/c0), so each is its first term times the
-    truncated train sum_{m<terms} q^m.
+    The line is driven by the current I1 at x=0.  Each reflection pair
+    contributes one right-going and one left-going exponential; the voltage
+    reflection coefficient at the open ends is +1, the current coefficient -1.
+    Both trains share the round-trip factor: fwd_m = exp(-i*omega*x/c0) * q^m
+    and bwd_m = exp(i*omega*(x-2L)/c0) * q^m, with q^m = exp(-2i*omega*L*m/c0),
+    so each is its first term times the truncated train sum_{m<terms} q^m.
     """
-    _require_series_args(omega, x, terms)
+    _require_series_args(model, omega, x, terms)
     c0, length, z0 = model.wave_speed, model.length, model.char_impedance
     train = _train(omega * 2 * length / c0, terms)
     fwd = cmath.exp(-1j * omega * x / c0)
     bwd = cmath.exp(1j * omega * (x - 2 * length) / c0)
     return z0 * (fwd + bwd) * train, (fwd - bwd) * train
-
-
-def open_line_closed_vi(
-    model: TLineOpenEnds, omega: complex, x: float
-) -> tuple[complex, complex]:
-    """Closed-form (V/I1, I/I1) for the open line driven at x=0."""
-    c0, length, z0 = model.wave_speed, model.length, model.char_impedance
-    kl = omega * length / c0
-    klx = omega * (length - x) / c0
-    v = -1j * z0 * cmath.cos(klx) / cmath.sin(kl)
-    i = cmath.sin(klx) / cmath.sin(kl)
-    return v, i
 
 
 def shorted_line_series_v(
@@ -103,7 +90,7 @@ def shorted_line_series_v(
     The direct impulse plus four image terms, each multiplied by the
     truncated round-trip train sum_{m<terms} exp(-2i*omega*L*m/c0).
     """
-    _require_series_args(omega, x, terms)
+    _require_series_args(model, omega, x, terms)
     c0, length, z0 = model.wave_speed, model.length, model.char_impedance
     xt = model.x_transmit
 
@@ -121,19 +108,6 @@ def shorted_line_series_v(
     )
     train = _train(omega * 2 * length / c0, terms)
     return (z0 / 2) * (fwd(abs(x - xt)) + images * train)
-
-
-def shorted_line_closed_v(model: TLineShortedTapped, omega: complex, x: float) -> complex:
-    """Closed-form V(omega,x)/I_T for the shorted tapped line."""
-    c0, length, z0 = model.wave_speed, model.length, model.char_impedance
-    xt = model.x_transmit
-    k = omega / c0
-    return (
-        1j
-        * z0
-        * (cmath.cos(k * (length - x - xt)) - cmath.cos(k * (length - abs(x - xt))))
-        / (2 * cmath.sin(k * length))
-    )
 
 
 def lc_transfer_from_impulse(
@@ -162,65 +136,67 @@ def lc_transfer_from_impulse(
     return step * total / (2 * model.capacitance)
 
 
-def lc_transfer_closed(model: LcParallel, omega: complex) -> complex:
-    """i*omega*L / (1 - LC*omega^2), from the reactances the solvers evaluate."""
+def _impedances(model, omega: np.ndarray):
+    """(i*Z_R, i*Z_RT) of `model` at each complex omega, from one `reactances` call."""
     s = model.reactances(omega)
-    return complex(1j * s.num_rt / s.denom)
+    return 1j * s.num_r / s.denom, 1j * s.num_rt / s.denom
 
 
-def _record(name: str, worst: float, gate: float, what: str = "max rel err"):
+def _record(name: str, worst, gate: float, what: str = "max rel err"):
     return name, bool(worst <= gate), f"{what} {worst:.2e}"
 
 
 def oracle_checks():
-    """Closed-form vs bounce-series oracle checks; yields (name, ok, detail)."""
+    """Bounce series and impulse integral vs each channel's `reactances`; yields
+    (name, ok, detail)."""
     rng = np.random.default_rng(0)
+    draws = np.arange(20) % 2  # 0, 1, 0, ...: the end or the source each draw checks
 
+    # driven at x=0: V(0) = i*Z_R (Z_T, by symmetry) with I(0) = I1, and
+    # V(L) = i*Z_RT with I(L) = 0
     open_line = TLineOpenEnds(50.0, 3.0e8, 75.0)
     c0, length = open_line.wave_speed, open_line.length
-    s = complex(0.0, -0.5 * c0 / length)
-    worst = 0.0
-    for _ in range(20):
-        w = complex(rng.uniform(0, 20) * c0 / length, s.imag)
-        x = rng.uniform(0, length)
-        v_s, i_s = open_line_series_vi(open_line, w, x, 64)
-        v_c, i_c = open_line_closed_vi(open_line, w, x)
-        worst = max(worst, abs(v_s - v_c) / abs(v_c), abs(i_s - i_c) / max(abs(i_c), 1e-30))
+    w = (rng.uniform(0, 20, 20) - 0.5j) * c0 / length
+    z_r, z_rt = _impedances(open_line, w)
+    v, i = np.array([open_line_series_vi(open_line, w_j, end * length, 64)
+                     for w_j, end in zip(w.tolist(), draws.tolist())]).T
+    z = np.where(draws, z_rt, z_r)
+    worst = max(np.max(abs(v - z) / abs(z)), np.max(abs(i - (1 - draws))))
     yield _record("open-line series vs closed form", worst, 1e-6)
 
+    # V(x_r)/I_T is i*Z_RT; a copy driven at the receive tap gives i*Z_R there
     tapped = TLineShortedTapped(50.0, 3.0e8, 75.0, 75.0 / 7, 8 * 75.0 / 13)
-    s2 = complex(0.0, -1e-3 * c0 / length)
-    worst = 0.0
-    for _ in range(20):
-        w = complex(rng.uniform(0.3, 20) * c0 / length, s2.imag)
-        x = rng.uniform(0.05 * length, 0.95 * length)
-        v_s = shorted_line_series_v(tapped, w, x, 40000)
-        v_c = shorted_line_closed_v(tapped, w, x)
-        worst = max(worst, abs(v_s - v_c) / abs(v_c))
-    yield _record("shorted-line series vs closed form", worst, 1e-4)
+    sources = (tapped, replace(tapped, x_transmit=tapped.x_receive))
+    w = (rng.uniform(0.3, 20, 20) - 1e-3j) * c0 / length
+    z_r, z_rt = _impedances(tapped, w)
+    v = np.array([shorted_line_series_v(sources[d], w_j, tapped.x_receive, 40000)
+                  for w_j, d in zip(w.tolist(), draws.tolist())])
+    z = np.where(draws, z_r, z_rt)
+    yield _record("shorted-line series vs closed form", np.max(abs(v - z) / abs(z)), 1e-4)
 
-    worst = 0.0
-    for x in (0.0, length):
-        v_c = shorted_line_closed_v(tapped, complex(7.0 * c0 / length, -0.3), x)
-        worst = max(worst, abs(v_c))
+    worst = max(np.max(abs(_impedances(replace(tapped, x_receive=x), w)[1]))
+                for x in (0.0, length))
     yield _record("shorted-line endpoint voltage null", worst, 1e-10, "max |V|")
 
     lc = LcParallel(4.7e-9, 6.0e-13)
     w0 = lc.resonance
-    worst = 0.0
-    for w in (w0 * complex(1, -0.01), complex(0, -w0)):
-        approx = lc_transfer_from_impulse(lc, w, horizon=25 / abs(w.imag), dt=0.01 / w0)
-        exact = lc_transfer_closed(lc, w)
-        worst = max(worst, abs(approx - exact) / abs(exact))
-    yield _record("LC impulse-integral vs closed form", worst, 1e-3)
+    w = np.array([w0 * complex(1, -0.01), complex(0, -w0)])
+    approx = np.array([lc_transfer_from_impulse(lc, w_j, horizon=25 / abs(w_j.imag),
+                                                dt=0.01 / w0) for w_j in w.tolist()])
+    exact = _impedances(lc, w)[1]
+    yield _record("LC impulse-integral vs closed form", np.max(abs(approx - exact) / abs(exact)),
+                  1e-3)
 
-    # series evaluated near the real axis against the rational reactance form
-    worst = 0.0
-    for _ in range(10):
-        w_re = rng.uniform(0.3, 20) * c0 / length
-        sample = eval_reactances(tapped, w_re)
-        z_rt = sample.num_rt / sample.denom
-        v_c = shorted_line_closed_v(tapped, complex(w_re, -1e-9 * c0 / length),
-                                    tapped.x_receive)
-        worst = max(worst, abs(v_c / 1j - z_rt) / max(abs(z_rt), 1e-12))
-    yield _record("mutual reactance vs Helmholtz solution", worst, 1e-4)
+    # on the real axis, Z_RT as a function of the receive tap solves
+    # d2V/dx2 + k^2 V = 0 away from the transmit tap; central differences in x_r,
+    # against k^2 z0/|sin kL|, which bounds k^2 |Z_RT| and does not vanish
+    w = rng.uniform(0.3, 20, 10) * c0 / length
+    dx = 1e-4 * length
+    s = [eval_reactances(replace(tapped, x_receive=tapped.x_receive + d), w)
+         for d in (-dx, 0.0, dx)]
+    v = [si.num_rt / si.denom for si in s]
+    k2 = (w / c0) ** 2
+    residual = (v[0] - 2 * v[1] + v[2]) / dx**2 + k2 * v[1]
+    scale = k2 * tapped.char_impedance / abs(s[1].denom)
+    yield _record("mutual reactance vs Helmholtz solution", np.max(abs(residual) / scale),
+                  1e-4, "max rel residual")

@@ -69,10 +69,12 @@ def build_grid(
     """Uniform base grid with nested halving refinement around the poles in and near the band.
 
     Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to every
-    pole within 10h of the band, h the base spacing, keeping the nodes in the band;
-    the band edges and every in-band pole are nodes.  Levels past 29, whose nodes
-    would merge as near-duplicates, are refused, as is a grid on which two in-band
-    poles would snap to one node.  The channel is evaluated once, at the final nodes.
+    pole within 10h of the band, h the base spacing, keeping the nodes in the band.
+    The band edges are nodes, and every in-band pole is one: it is snapped onto its
+    nearest interior node, at any level, unless it lies within h*1e-9 of an edge,
+    where it sits on that edge node.  Levels past 29, whose nodes would merge as
+    near-duplicates, are refused, as is a grid on which two in-band poles would snap
+    to one node.  The channel is evaluated once, at the final nodes.
     """
     if base_points < 16:
         raise ValueError("base_points must be at least 16")
@@ -92,11 +94,15 @@ def build_grid(
     nodes.sort()
     del extra, offsets
     # drop near-duplicates, exact ones included, that would produce tiny weights,
-    # then snap the nearest surviving node onto each pole exactly (the lower one on
-    # a tie); the edges stay nodes, so a pole within h*1e-9 of one sits on it
-    nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
-    right = np.clip(np.searchsorted(nodes, poles), 1, len(nodes) - 1)
-    pole_idx = right - (poles - nodes[right - 1] <= nodes[right] - poles)
+    # then snap the nearest surviving interior node onto each pole exactly (the
+    # lower one on a tie); the edges stay nodes, so a pole within h*1e-9 of one
+    # sits on that edge node
+    tol = h * 1e-9
+    nodes = nodes[np.r_[True, np.diff(nodes) > tol]]
+    last = len(nodes) - 1
+    right = np.clip(np.searchsorted(nodes, poles), 1, last)
+    nearest = np.clip(right - (poles - nodes[right - 1] <= nodes[right] - poles), 1, last - 1)
+    pole_idx = np.where(poles - lo <= tol, 0, np.where(hi - poles <= tol, last, nearest))
     if np.any(np.diff(pole_idx) == 0):
         raise ValueError(f"{len(poles) - len(np.unique(pole_idx))} of {len(poles)} in-band "
                          "poles would share a node with another; raise base_points or "

@@ -36,6 +36,14 @@ def tline_band():
     return Band(2 * math.pi * 3.0e9, 1.0e7)
 
 
+def impedances(model, omega):
+    """(i*Z_R, i*Z_RT) of `model` at omega, complex omega included, from its own
+    `reactances`: the voltages at the receive tap per unit current into the
+    receive and the transmit port."""
+    s = model.reactances(omega)
+    return 1j * s.num_r / s.denom, 1j * s.num_rt / s.denom
+
+
 def make_receiver(load_resistance, temperature=300.0, amp_noise=QA):
     return ReceiverParams(load_resistance, 100.0, amp_noise, temperature)
 

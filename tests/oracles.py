@@ -1,11 +1,12 @@
 """Independent reference computations used to check the library paths.
 
 These deliberately avoid the rational-form code: the LC reactance comes from
-complex admittance inversion, the tapped-line mutual reactance from the
-distributed-voltage solution, the tapped-line numerators from their
-definition, two sines each, capacity/power from a plain midpoint Riemann
-sum on a uniform grid, the water level from a loop over the sorted nodes,
-and grid nodes from the refinement offsets with their duplicates.
+complex admittance inversion, the tapped-line mutual reactance and the
+open-line voltage and current from the distributed-voltage solutions, the
+tapped-line numerators from their definition, two sines each, capacity/power
+from a plain midpoint Riemann sum on a uniform grid, the water level from a
+loop over the sorted nodes, and grid nodes from the refinement offsets with
+their duplicates.
 """
 
 import cmath
@@ -35,6 +36,15 @@ def shorted_mutual_reactance(model, omega):
         / (2 * cmath.sin(k * length))
     )
     return (v_over_it / 1j).real
+
+
+def open_line_closed_vi(model, omega, x):
+    """(V/I1, I/I1) of the open line driven by I1 at x = 0, from the standing
+    wave V = -i z0 cos(k (L - x)) / sin(k L), at any complex omega."""
+    c0, length = model.wave_speed, model.length
+    kl, klx = omega * length / c0, omega * (length - x) / c0
+    v = -1j * model.char_impedance * cmath.cos(klx) / cmath.sin(kl)
+    return v, cmath.sin(klx) / cmath.sin(kl)
 
 
 def shorted_numerators_by_definition(model, omega):
@@ -80,8 +90,8 @@ def water_level_by_loop(ratio, weights, p_t):
 def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     """waterfill.build_grid's nodes from every refinement offset k*h/2**l, |k| <= 20,
     around every pole within 10h of the band, duplicates included, merged by one
-    np.unique; then the same near-duplicate drop, snap onto the in-band poles and
-    band edges written last."""
+    np.unique; then the same near-duplicate drop, snap of the in-band poles onto
+    their nearest interior nodes and band edges written last."""
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
     centres = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
@@ -90,8 +100,13 @@ def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     extra = (centres[:, None] + offsets.ravel()).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
-    nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
-    right = np.clip(np.searchsorted(nodes, poles), 1, len(nodes) - 1)
-    nodes[right - (poles - nodes[right - 1] <= nodes[right] - poles)] = poles
+    tol = h * 1e-9
+    nodes = nodes[np.r_[True, np.diff(nodes) > tol]]
+    # each pole onto its nearest interior node, the lower one on a tie (argmin
+    # takes the first); a pole within tol of an edge sits on the edge node
+    snap = [(1 + np.argmin(abs(nodes[1:-1] - p)), p) for p in poles
+            if p - lo > tol and hi - p > tol]
+    for i, p in snap:
+        nodes[i] = p
     nodes[0], nodes[-1] = lo, hi
     return nodes

@@ -5,6 +5,7 @@ captured output) in addition to its assertions.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,18 +23,11 @@ from rclink import (
     solve_for_power,
     sweep,
 )
-from rclink.timedomain import (
-    lc_transfer_closed,
-    lc_transfer_from_impulse,
-    open_line_closed_vi,
-    open_line_series_vi,
-    shorted_line_closed_v,
-    shorted_line_series_v,
-)
+from rclink.timedomain import lc_transfer_from_impulse, open_line_series_vi, shorted_line_series_v
 from rclink import TLineOpenEnds, TLineShortedTapped
 from rclink.linkmodel import BOLTZMANN
 
-from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
+from conftest import LC_MODEL, POWER_W, TLINE_MODEL, impedances, make_receiver
 from oracles import riemann_capacity_power
 
 TABLE1 = [
@@ -170,17 +164,19 @@ def test_criterion_07_quadrature_oracle(lc_band, lc_grid, tline_band, tline_grid
 
 
 def test_criterion_08_physics_oracles():
+    # each bounce series against the channel's own reactances at complex omega:
+    # the open line driven at x = 0 has V(0) = i*Z_R, I(0) = 1, V(L) = i*Z_RT,
+    # I(L) = 0; the shorted line's V(x) is i*Z_RT of a copy tapped at x
     rng = np.random.default_rng(0)
     open_line = TLineOpenEnds(50.0, 3.0e8, 75.0)
     c0_over_l = open_line.wave_speed / open_line.length
     worst_open = 0.0
     for _ in range(20):
         omega = complex(rng.uniform(0, 20) * c0_over_l, -0.5 * c0_over_l)
-        x = rng.uniform(0, open_line.length)
-        v_s, i_s = open_line_series_vi(open_line, omega, x, 64)
-        v_c, i_c = open_line_closed_vi(open_line, omega, x)
-        worst_open = max(worst_open, abs(v_s - v_c) / abs(v_c),
-                         abs(i_s - i_c) / max(abs(i_c), 1e-12))
+        z_r, z_rt = impedances(open_line, omega)
+        for x, v_c, i_c in ((0.0, z_r, 1.0), (open_line.length, z_rt, 0.0)):
+            v_s, i_s = open_line_series_vi(open_line, omega, x, 64)
+            worst_open = max(worst_open, abs(v_s - v_c) / abs(v_c), abs(i_s - i_c))
     assert worst_open <= 1e-6
 
     worst_short = 0.0
@@ -188,7 +184,7 @@ def test_criterion_08_physics_oracles():
         omega = complex(rng.uniform(0.3, 15) * c0_over_l, -1e-3 * c0_over_l)
         x = rng.uniform(0.1, 0.9) * TLINE_MODEL.length
         v_s = shorted_line_series_v(TLINE_MODEL, omega, x, 40000)
-        v_c = shorted_line_closed_v(TLINE_MODEL, omega, x)
+        v_c = impedances(replace(TLINE_MODEL, x_receive=x), omega)[1]
         worst_short = max(worst_short, abs(v_s - v_c) / abs(v_c))
     assert worst_short <= 1e-4
 
@@ -196,10 +192,10 @@ def test_criterion_08_physics_oracles():
     worst_lc = 0.0
     for omega in (w0 * complex(1, -0.01), complex(0, -w0)):
         approx = lc_transfer_from_impulse(LC_MODEL, omega, 25 / abs(omega.imag), 0.01 / w0)
-        exact = lc_transfer_closed(LC_MODEL, omega)
+        exact = impedances(LC_MODEL, omega)[1]
         worst_lc = max(worst_lc, abs(approx - exact) / abs(exact))
     assert worst_lc <= 1e-3
-    print(f"PASS criterion 8: series/closed-form agreement (open {worst_open:.1e}, "
+    print(f"PASS criterion 8: series/reactances agreement (open {worst_open:.1e}, "
           f"shorted {worst_short:.1e}, LC {worst_lc:.1e})")
 
 
@@ -209,9 +205,10 @@ def test_criterion_09_structural_zeros():
         for xt, xr in ((boundary, 31.0), (31.0, boundary)):
             model = TLineShortedTapped(50.0, 3.0e8, 75.0, xt, xr)
             assert np.all(eval_reactances(model, omegas).num_rt == 0.0)
+    # V(x)/I_T is i*Z_RT of a copy tapped at x, at complex omega too
     omega = complex(5.5 * 3.0e8 / 75.0, -0.2 * 3.0e8 / 75.0)
     for x in (0.0, TLINE_MODEL.length):
-        assert abs(shorted_line_closed_v(TLINE_MODEL, omega, x)) <= 1e-12
+        assert abs(impedances(replace(TLINE_MODEL, x_receive=x), omega)[1]) <= 1e-12
     print("PASS criterion 9: boundary taps give exactly zero coupling; V(0)=V(L)=0")
 
 

@@ -12,11 +12,11 @@ from rclink import (
     eval_reactances,
     poles_in_interval,
 )
-from rclink.timedomain import open_line_closed_vi
 
 from conftest import LC_MODEL, TLINE_MODEL
 from oracles import (
     lc_reactance_admittance,
+    open_line_closed_vi,
     shorted_mutual_reactance,
     shorted_numerators_by_definition,
 )

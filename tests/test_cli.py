@@ -26,7 +26,6 @@ from rclink import (
     linkmodel,
     parse_config,
     serialize_config,
-    timedomain,
     waterfill,
 )
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
@@ -470,28 +469,26 @@ class TestVerifyCommand:
         assert len(lines) == 5
         assert all(l.startswith("PASS") for l in lines)
 
-    # each closed form off by a relative error of 1.1 times its check's gate; the
-    # shorted line's error grows with damping, reaching that at the check's
-    # Im(omega) = -1e-3*c0/L and vanishing on the real axis, where the Helmholtz
-    # check shares its gate, so only the bounce series can catch it
-    @pytest.mark.parametrize("closed_form, check, error", [
-        ("open_line_closed_vi", "open-line series vs closed form", lambda m, w: 1.1e-6),
-        ("shorted_line_closed_v", "shorted-line series vs closed form",
-         lambda m, w: -0.11 * w.imag * m.length / m.wave_speed),
-        ("lc_transfer_closed", "LC impulse-integral vs closed form", lambda m, w: 1.1e-3),
-    ])
-    def test_fails_a_wrong_closed_form(self, monkeypatch, capsys, closed_form, check, error):
-        right = getattr(timedomain, closed_form)
+    # each channel's reactances off by 1.1 times its check's gate fail that check
+    # alone; 0.9 times the gate passes all five
+    @pytest.mark.parametrize("factor", [1.1, 0.9])
+    @pytest.mark.parametrize("cls, check, gate", [
+        (channels.TLineOpenEnds, "open-line series vs closed form", 1e-6),
+        (channels.TLineShortedTapped, "shorted-line series vs closed form", 1e-4),
+        (channels.LcParallel, "LC impulse-integral vs closed form", 1e-3),
+    ], ids=["open", "shorted", "lc"])
+    def test_fails_a_wrong_reactance(self, monkeypatch, capsys, cls, check, gate, factor):
+        right, scale = cls.reactances, 1 + factor * gate
 
-        def wrong(model, omega, *args):
-            value, scale = right(model, omega, *args), 1 + error(model, omega)
-            return tuple(v * scale for v in value) if isinstance(value, tuple) else value * scale
+        def wrong(model, omega):
+            s = right(model, omega)
+            return channels.ReactanceSample(s.num_r * scale, s.num_rt * scale, s.denom)
 
-        monkeypatch.setattr(timedomain, closed_form, wrong)
-        assert main(["verify"]) == 1
+        monkeypatch.setattr(cls, "reactances", wrong)
+        assert main(["verify"]) == (factor > 1)
         lines = capsys.readouterr().out.splitlines()
         failed = [l for l in lines if l.startswith(f"FAIL: {check} (")]
-        assert len(lines) == 5 and len(failed) == 1
+        assert len(lines) == 5 and len(failed) == (factor > 1)
         assert all(l.startswith("PASS:") for l in lines if l not in failed)
 
     def test_takes_no_flags(self):
@@ -628,7 +625,7 @@ class TestErrorHandling:
         # 40 in-band poles snapped onto 16 nodes
         "poles-share-a-node": (["waterfill", "--config", {
             **json.loads((Path(__file__).parent / "tline_600m.json").read_text()),
-            "grid": UNREFINED}], "24 of 40 in-band poles would share a node"),
+            "grid": UNREFINED}], "25 of 40 in-band poles would share a node"),
     }
 
     @pytest.mark.parametrize("argv, reason", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())

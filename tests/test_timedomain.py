@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -9,20 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rclink import TLineOpenEnds
+from rclink import TLineOpenEnds, TLineShortedTapped
 from rclink.channels import eval_reactances
 from rclink.timedomain import (
     _train,
-    lc_transfer_closed,
     lc_transfer_from_impulse,
     oracle_checks,
-    open_line_closed_vi,
     open_line_series_vi,
-    shorted_line_closed_v,
     shorted_line_series_v,
 )
 
-from conftest import LC_MODEL, TLINE_MODEL
+from conftest import LC_MODEL, TLINE_MODEL, impedances
+from oracles import open_line_closed_vi
 
 OPEN_LINE = TLineOpenEnds(50.0, 3.0e8, 75.0)
 C0_OVER_L = OPEN_LINE.wave_speed / OPEN_LINE.length
@@ -135,8 +134,9 @@ class TestRefusals:
         with pytest.raises(ValueError):
             SERIES[series](omega, 1.0, 8)
 
+    # both lines are 75 m long: -1 and 76 lie off each of them
     @pytest.mark.parametrize("series", SERIES)
-    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -1.0, 76.0])
     def test_series_refuse_non_finite_x(self, series, x):
         with pytest.raises(ValueError):
             SERIES[series](W_OK, x, 8)
@@ -179,10 +179,21 @@ def test_oracle_records_are_plain_json():
 
 class TestOpenLineSeries:
     def test_converges_to_closed_form(self):
+        # driven at x = 0: V(0) = i*Z_R with I(0) = 1, and V(L) = i*Z_RT with I(L) = 0
         rng = np.random.default_rng(2)
         im = -0.5 * C0_OVER_L
         for _ in range(20):
             omega = complex(rng.uniform(0.0, 20.0) * C0_OVER_L, im)
+            z_r, z_rt = impedances(OPEN_LINE, omega)
+            for x, v_c, i_c in ((0.0, z_r, 1.0), (OPEN_LINE.length, z_rt, 0.0)):
+                v_s, i_s = open_line_series_vi(OPEN_LINE, omega, x, 64)
+                assert abs(v_s - v_c) <= 1e-6 * abs(v_c)
+                assert abs(i_s - i_c) <= 1e-6
+
+    def test_converges_to_standing_wave(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            omega = complex(rng.uniform(0.0, 20.0) * C0_OVER_L, -0.5 * C0_OVER_L)
             x = rng.uniform(0.0, OPEN_LINE.length)
             v_s, i_s = open_line_series_vi(OPEN_LINE, omega, x, 64)
             v_c, i_c = open_line_closed_vi(OPEN_LINE, omega, x)
@@ -203,8 +214,6 @@ class TestOpenLineSeries:
         for terms in (1, 8, 64):
             _, i = open_line_series_vi(OPEN_LINE, omega, OPEN_LINE.length, terms)
             assert abs(i) <= 1e-14
-        _, i_c = open_line_closed_vi(OPEN_LINE, omega, OPEN_LINE.length)
-        assert abs(i_c) <= 1e-12
 
     def test_term_doubling_tail_bound(self):
         omega = complex(2.1 * C0_OVER_L, -0.5 * C0_OVER_L)
@@ -226,12 +235,17 @@ class TestOpenLineSeries:
             open_line_series_vi(OPEN_LINE, complex(1e8, -1e6), 1.0, 0)
 
 
+def tapped_at(x):
+    """The reference shorted line with its receive tap at x: V(x)/I_T is its i*Z_RT."""
+    return replace(TLINE_MODEL, x_receive=x)
+
+
 class TestShortedLineSeries:
     def test_endpoint_nulls(self):
         omega = complex(4.9 * C0_OVER_L, -0.2 * C0_OVER_L)
-        scale = abs(shorted_line_closed_v(TLINE_MODEL, omega, TLINE_MODEL.x_receive))
+        scale = abs(impedances(TLINE_MODEL, omega)[1])
         for x in (0.0, TLINE_MODEL.length):
-            assert shorted_line_closed_v(TLINE_MODEL, omega, x) == pytest.approx(0.0, abs=1e-12)
+            assert impedances(tapped_at(x), omega)[1] == 0
             v_s = shorted_line_series_v(TLINE_MODEL, omega, x, 200)
             per_term = math.exp(2 * TLINE_MODEL.length * omega.imag / TLINE_MODEL.wave_speed)
             tail = 4 * TLINE_MODEL.char_impedance * per_term**200 / (1 - per_term)
@@ -244,7 +258,7 @@ class TestShortedLineSeries:
             omega = complex(rng.uniform(0.3, 15.0) * C0_OVER_L, omega_im)
             x = rng.uniform(0.1, 0.9) * TLINE_MODEL.length
             v_s = shorted_line_series_v(TLINE_MODEL, omega, x, 40000)
-            v_c = shorted_line_closed_v(TLINE_MODEL, omega, x)
+            v_c = impedances(tapped_at(x), omega)[1]
             assert abs(v_s - v_c) <= 1e-4 * abs(v_c)
 
     def test_long_train_in_bounded_memory(self):
@@ -270,11 +284,9 @@ class TestShortedLineSeries:
                 continue
             s = eval_reactances(TLINE_MODEL, omega_re)
             z_rt = s.num_rt / s.denom
-            v = shorted_line_closed_v(
-                TLINE_MODEL, complex(omega_re, -1e-3 * C0_OVER_L), TLINE_MODEL.x_receive)
+            v = impedances(TLINE_MODEL, complex(omega_re, -1e-3 * C0_OVER_L))[1]
             assert (v / 1j).real == pytest.approx(z_rt, rel=1e-2)
-            v_tight = shorted_line_closed_v(
-                TLINE_MODEL, complex(omega_re, -1e-9 * C0_OVER_L), TLINE_MODEL.x_receive)
+            v_tight = impedances(TLINE_MODEL, complex(omega_re, -1e-9 * C0_OVER_L))[1]
             assert (v_tight / 1j).real == pytest.approx(z_rt, rel=1e-6)
 
     def test_helmholtz_residual(self):
@@ -282,15 +294,53 @@ class TestShortedLineSeries:
         k = omega / TLINE_MODEL.wave_speed
         dx = TLINE_MODEL.length * 1e-4
         for x in (0.31 * TLINE_MODEL.length, 0.77 * TLINE_MODEL.length):
-            v = shorted_line_closed_v(TLINE_MODEL, omega, x)
-            v_p = shorted_line_closed_v(TLINE_MODEL, omega, x + dx)
-            v_m = shorted_line_closed_v(TLINE_MODEL, omega, x - dx)
+            v, v_p, v_m = (impedances(tapped_at(y), omega)[1] for y in (x, x + dx, x - dx))
             residual = (v_p - 2 * v + v_m) / dx**2 + k**2 * v
             assert abs(residual) <= 1e-3 * abs(k**2 * v)
 
     def test_rejects_upper_half_plane(self):
         with pytest.raises(ValueError):
             shorted_line_series_v(TLINE_MODEL, complex(1e8, 0.0), 1.0, 8)
+
+
+# a tap as a fraction of the line: anywhere on it, or on one of its shorted ends
+TAP = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+
+
+@st.composite
+def lines_at_complex_omega(draw):
+    """An open line, or a shorted one with end taps and coincident taps among its
+    draws, and an omega with Re up to 40*c0/L and Im in [-1, -0.01]*c0/L."""
+    z0 = draw(st.floats(1.0, 500.0))
+    c0 = draw(st.floats(1e6, 3e8))
+    length = draw(st.floats(0.01, 1e3))
+    if draw(st.booleans()):
+        model = TLineOpenEnds(z0, c0, length)
+    else:
+        xt = draw(TAP) * length
+        xr = draw(st.one_of(st.just(xt), TAP.map(lambda f: f * length)))
+        model = TLineShortedTapped(z0, c0, length, xt, xr)
+    return model, complex(draw(st.floats(0.0, 40.0)), draw(st.floats(-1.0, -0.01))) * c0 / length
+
+
+class TestReactancesAtComplexOmega:
+    @settings(max_examples=200, deadline=None)
+    @given(case=lines_at_complex_omega())
+    def test_match_the_bounce_series(self, case):
+        # the series have converged: |q|^40000 <= exp(-800); an open line driven
+        # at 0 has V(0) = i*Z_R and V(L) = i*Z_RT, a shorted line V(x_r) = i*Z_RT,
+        # and driven at its receive tap V(x_r) = i*Z_R
+        model, omega = case
+        z_r, z_rt = impedances(model, omega)
+        if isinstance(model, TLineOpenEnds):
+            series = [open_line_series_vi(model, omega, x, 40000)[0] for x in (0.0, model.length)]
+        else:
+            series = [shorted_line_series_v(m, omega, model.x_receive, 40000)
+                      for m in (replace(model, x_transmit=model.x_receive), model)]
+        kl = omega * model.length / model.wave_speed
+        bound = 1e-9 * model.char_impedance / abs(cmath.sin(kl))
+        for v, z in zip(series, (z_r, z_rt)):
+            assert abs(v - z) <= bound
 
 
 @st.composite
@@ -309,13 +359,13 @@ class TestLcTransfer:
     def test_near_resonance(self):
         omega = self.W0 * complex(1.0, -0.01)
         approx = lc_transfer_from_impulse(LC_MODEL, omega, 25 / abs(omega.imag), 0.01 / self.W0)
-        exact = lc_transfer_closed(LC_MODEL, omega)
+        exact = impedances(LC_MODEL, omega)[1]
         assert abs(approx - exact) <= 1e-3 * abs(exact)
 
     def test_imaginary_axis(self):
         omega = complex(0.0, -self.W0)
         approx = lc_transfer_from_impulse(LC_MODEL, omega, 25 / self.W0, 0.01 / self.W0)
-        exact = lc_transfer_closed(LC_MODEL, omega)
+        exact = impedances(LC_MODEL, omega)[1]
         assert exact.real > 0 and abs(exact.imag) < 1e-9 * exact.real
         assert abs(approx - exact) <= 1e-3 * abs(exact)
 

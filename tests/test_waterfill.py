@@ -103,7 +103,7 @@ class TestBuildGrid:
         model = TLineShortedTapped(50.0, 3.0e8, length, length / 7, 8 * length / 13)
         poles = poles_in_interval(model, tline_band.lo, tline_band.hi)
         assert len(poles) == 40
-        with pytest.raises(ValueError, match="^24 of 40 in-band poles would share a node"):
+        with pytest.raises(ValueError, match="^25 of 40 in-band poles would share a node"):
             build_grid(tline_band, model, 16, 0)
         with pytest.raises(ValueError, match="^1 of 40 in-band poles"):
             build_grid(tline_band, model, 40, 0)
@@ -133,6 +133,19 @@ class TestBuildGrid:
         inner = step * np.arange(1001, 1005)
         pole_values = inner if inset > 0 else [band.lo, *inner, band.hi]
         np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], pole_values)
+
+    def test_unrefined_pole_by_an_edge_is_a_node(self):
+        # pole 1000 of the reference line 0.3h above band.lo, nearer the edge node
+        # than any other: with no refinement it snaps onto node 1, not the edge
+        step = math.pi * TLINE_MODEL.wave_speed / TLINE_MODEL.length
+        bandwidth = 3.2e7
+        h = 2 * math.pi * bandwidth / 63
+        band = Band(1000 * step - 0.3 * h + math.pi * bandwidth, bandwidth)
+        grid = build_grid(band, TLINE_MODEL, 64, 0)
+        poles = poles_in_interval(TLINE_MODEL, band.lo, band.hi)
+        assert poles[0] == 1000 * step and grid.pole_nodes[0] == 1
+        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], poles)
+        assert grid.nodes[0] == band.lo and np.all(np.diff(grid.nodes) > 0)
 
     @pytest.mark.parametrize("outside", [1e-9, 1.0])
     def test_pole_just_above_the_band_gets_a_window(self, outside):
@@ -451,6 +464,9 @@ class TestRandomShortedLines:
         rl=st.floats(5e4, 5e6),
         power_scale=st.floats(0.2, 25.0),
     )
+    # the first pole 3.2e-11 base spacings above band.lo, where it sits on the edge node
+    @example(poles=1.9999999999999858, taps=(0.5, 0.5), points_per_pole=8, rl=5e4,
+             power_scale=1.0)
     def test_grid_and_kkt(self, tline_band, poles, taps, points_per_pole, rl, power_scale):
         # about `poles` in-band poles; at 8 base points per pole the refinement
         # windows (+-10 base spacings) of neighbouring poles overlap
@@ -460,8 +476,14 @@ class TestRandomShortedLines:
         grid = build_grid(tline_band, model, base_points, 6)
 
         assert np.all(np.diff(grid.nodes) > 0)
-        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes],
-                                      poles_in_interval(model, tline_band.lo, tline_band.hi))
+        # every in-band pole is its node, bit for bit, but one within the
+        # near-duplicate distance h*1e-9 of a band edge, which sits on that edge
+        lo, hi = tline_band.lo, tline_band.hi
+        tol = (hi - lo) / (base_points - 1) * 1e-9
+        in_band = poles_in_interval(model, lo, hi)
+        np.testing.assert_array_equal(
+            grid.nodes[grid.pole_nodes],
+            np.where(in_band - lo <= tol, lo, np.where(hi - in_band <= tol, hi, in_band)))
         assert np.sum(grid.weights) == pytest.approx(tline_band.bandwidth, rel=1e-12)
 
         rx = make_receiver(rl)
@@ -503,10 +525,12 @@ class TestRandomShortedLines:
         grid = build_grid(tline_band, model, max(16, round(points_per_pole * poles)), 6)
         assert_breakpoints_exact(model, make_receiver(rl), grid)
 
-    # an edge offset from a pole: ("ulps", k) or ("near", u) for u*h*1e-9, that
-    # is up to twice the near-duplicate distance
+    # an edge offset from a pole: ("ulps", k), ("near", u) for u*h*1e-9, that
+    # is up to twice the near-duplicate distance, or ("base", u) for u*h, up to
+    # half a base spacing
     EDGE_OFFSET = st.one_of(st.tuples(st.just("ulps"), st.integers(-4, 4)),
-                            st.tuples(st.just("near"), st.floats(-2.0, 2.0)))
+                            st.tuples(st.just("near"), st.floats(-2.0, 2.0)),
+                            st.tuples(st.just("base"), st.floats(-0.5, 0.5)))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -520,7 +544,7 @@ class TestRandomShortedLines:
     def test_band_edges_at_poles(self, tline_band, spans, taps, points_per_pole, levels,
                                  lo_offset, hi_offset):
         # a band whose edges sit at two poles `spans` steps apart, give or take
-        # a few ulps or up to 2*h*1e-9
+        # a few ulps, up to 2*h*1e-9 or up to h/2
         length = spans * 3.0e8 / (2 * tline_band.bandwidth)
         model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
         step = math.pi * model.wave_speed / model.length
@@ -532,8 +556,8 @@ class TestRandomShortedLines:
 
         def shift(pole, offset):
             kind, amount = offset
-            if kind == "near":
-                return pole + amount * spacing * 1e-9
+            if kind != "ulps":
+                return pole + amount * spacing * (1e-9 if kind == "near" else 1.0)
             for _ in range(abs(amount)):
                 pole = np.nextafter(pole, math.copysign(math.inf, amount))
             return float(pole)
@@ -547,11 +571,10 @@ class TestRandomShortedLines:
         assert abs(math.fsum(grid.weights) / band.bandwidth - 1) <= 1e-12
         poles = poles_in_interval(model, band.lo, band.hi)
         h = (band.hi - band.lo) / (base_points - 1)
-        # with no refinement a pole snaps onto its nearest base node, and an edge
-        # node stays the edge, so there only poles over h/2 inside must be nodes
-        gap = h * 1e-9 if levels else h / 2
-        inside = (poles - band.lo > gap) & (band.hi - poles > gap)
-        assert np.all(np.isin(poles[inside], grid.nodes))
+        # an edge node stays the edge, so a pole within h*1e-9 of one sits on it
+        inside = (poles - band.lo > h * 1e-9) & (band.hi - poles > h * 1e-9)
+        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes[inside]], poles[inside])
+        assert np.all(np.isin(grid.pole_nodes[~inside], [0, len(grid.nodes) - 1]))
 
 
 def assert_plain_sum_level(mu, ratio, weights, p_t, support):
