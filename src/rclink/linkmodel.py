@@ -55,10 +55,12 @@ class ReceiverParams:
     temperature: float  # K
 
     def __post_init__(self):
-        if not 0 < self.load_resistance < math.inf:
-            raise ValueError("load_resistance must be positive and finite")
-        if not 0 < self.amp_gain < math.inf:
-            raise ValueError("amp_gain must be positive and finite")
+        for name in ("load_resistance", "amp_gain"):  # both enter the noise terms squared
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+            if value * value == math.inf:
+                raise ValueError(f"{name} must have a finite square, got {value!r}")
         if not (0 <= self.amp_noise_density < math.inf and 0 <= self.temperature < math.inf):
             raise ValueError("noise density and temperature must be nonnegative and finite")
         if self.amp_noise_density == 0 and self.temperature == 0:
@@ -166,10 +168,9 @@ def _profile(model, rx: ReceiverParams, omega) -> _Profile:
     return _Profile(r, s.num_rt != 0, s.num_rt, load)
 
 
-def _beta(rt2, load, rx: ReceiverParams):
-    """beta = 2 R_L num_rt^2 / load, formed in rt2 = np.square(num_rt), which it
-    takes over, so a grid's arrays are never written: a reader passes num_rt^2
-    and load at just the nodes it reads."""
+def _beta(num_rt, load, rx: ReceiverParams):
+    """beta = 2 R_L num_rt^2 / load, in a fresh array: a grid's arrays are never written."""
+    rt2 = np.square(num_rt)
     rt2 *= 2 * rx.load_resistance
     rt2 /= load
     return rt2
@@ -178,13 +179,13 @@ def _beta(rt2, load, rx: ReceiverParams):
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s), as ratio * beta."""
     prof = _profile(model, rx, omega)
-    return prof.ratio * _beta(np.square(prof.num_rt), prof.load, rx)
+    return prof.ratio * _beta(prof.num_rt, prof.load, rx)
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
     """Transmit power per unit transmit-current spectral density, ohms."""
     s = _sample(model, omega)
-    return _beta(np.square(s.num_rt), _noise(s, rx)[0], rx)
+    return _beta(s.num_rt, _noise(s, rx)[0], rx)
 
 
 def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -257,9 +258,10 @@ def capacity_lower_bound(
         raise ValueError("p_t must be nonnegative and finite")
     if band != grid.band:
         raise ValueError("grid was built for another band")
-    ratio, coupled = _profile(model, rx, grid)[:2]
-    snr = np.where(coupled, p_t * ratio / band.bandwidth, 0.0)
-    del ratio, coupled  # the every-other-node check below holds its own arrays
+    snr, coupled = _profile(model, rx, grid)[:2]  # the ratio, a fresh array
+    snr *= p_t
+    snr /= band.bandwidth
+    np.copyto(snr, 0.0, where=~coupled)
     result = _bits(grid.weights, snr)
     half = np.r_[0 : len(snr) - 1 : 2, len(snr) - 1]
     coarse = _bits(_trapezoid_weights(grid.nodes[half]), snr[half])

@@ -5,9 +5,11 @@ spectral density is 1/(mu*beta) - 1/alpha wherever positive, with the
 Lagrange multiplier mu set by the power budget.  The budget is inverted to
 mu exactly, with no tolerance and no sort: Newton steps on the water level
 drop only unpowered nodes, the level being a mediant of the true one and of
-lower ratios, and median splits keep the work linear.  Poles that the
-receive side sees are local minima of alpha/beta, so the optimal allocation
-avoids those resonances.
+lower ratios, and median splits keep the work linear.  C, P and s_it are
+formed on the whole grid with zeros off the support, like the lower bound, so
+`lower < C` compares two sums of one positional rule.  Poles that the receive
+side sees are local minima of alpha/beta, so the optimal allocation avoids
+those resonances.
 
 A grid is built for one channel and carries that channel's receive-side
 reactances at its nodes, evaluated once.  Every solver profiles them through
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelModel, eval_reactances, poles_in_interval
-from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _bits, _profile, _Profile,
+from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _bits, _profile,
                         _trapezoid_weights)
 
 __all__ = [
@@ -116,30 +118,27 @@ def build_grid(
     return FrequencyGrid(nodes, weights, pole_idx, model, s, band)
 
 
-def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> _Profile:
-    """The grid's profile; refuses another channel and one that couples at no node."""
-    prof = _profile(model, rx, grid)
-    if not np.any(prof.coupled):
+def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid):
+    """alpha/beta, the coupled mask and beta on the grid, beta formed once for every
+    level a caller solves at; refuses another channel and one that couples at no node."""
+    ratio, coupled, num_rt, load = _profile(model, rx, grid)
+    if not np.any(coupled):
         raise ValueError("channel has no coupling anywhere in the band")
-    return prof
+    return ratio, coupled, _beta(num_rt, load, rx)
 
 
-def _solve(profile: _Profile, rx: ReceiverParams, grid: FrequencyGrid, mu: float
-           ) -> WaterfillSolution:
-    support = profile.coupled & (profile.ratio > mu)
-    x = profile.ratio[support]
-    x -= mu  # exact near the level, where log2(ratio/mu) and 1/mu - 1/ratio lose digits
+def _solve(profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:
+    ratio, coupled, beta = profile
+    support = coupled & (ratio > mu)
+    # exact near the level, where log2(ratio/mu) and 1/mu - 1/ratio lose digits
+    x = np.subtract(ratio, mu, out=np.zeros_like(ratio), where=support)
     x /= mu
-    w = grid.weights[support]
-    capacity = _bits(w, x)  # log2(ratio / mu) = log2(1 + x)
+    capacity = _bits(grid.weights, x)  # log2(ratio / mu) = log2(1 + x)
     x /= x + 1
     x /= mu  # 1/mu - 1/ratio = s_it * beta, as alpha = ratio * beta
-    power = float(np.sum(w * x))
-    del w  # at most three support-sized arrays live beside the profile and the grid
-    x /= _beta(np.square(profile.num_rt[support]), profile.load[support], rx)
-    s_it = np.zeros_like(grid.nodes)
-    s_it[support] = x
-    return WaterfillSolution(mu, support, s_it, capacity, power)
+    power = float(np.sum(grid.weights * x))
+    np.divide(x, beta, out=x, where=support)
+    return WaterfillSolution(mu, support, x, capacity, power)
 
 
 def solve_for_mu(
@@ -148,7 +147,7 @@ def solve_for_mu(
     """Water-filling allocation for a given Lagrange multiplier mu > 0."""
     if not 0 < mu < math.inf:
         raise ValueError("mu must be positive and finite")
-    return _solve(_coupled_profile(model, rx, grid), rx, grid, mu)
+    return _solve(_coupled_profile(model, rx, grid), grid, mu)
 
 
 def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> tuple[float, float]:
@@ -219,11 +218,11 @@ def solve_for_power(
     """
     if not 0 < p_t < math.inf:
         raise ValueError("p_t must be positive and finite")
-    prof = _coupled_profile(model, rx, grid)
-    r_k, mu = _water_floor(prof.ratio[prof.coupled], grid.weights[prof.coupled], p_t)
+    ratio, coupled, _ = profile = _coupled_profile(model, rx, grid)
+    r_k, mu = _water_floor(ratio[coupled], grid.weights[coupled], p_t)
     # mu < r_k holds exactly; keep roundoff from emptying the support
     mu = min(mu, float(np.nextafter(r_k, 0)))
-    return _solve(prof, rx, grid, mu)
+    return _solve(profile, grid, mu)
 
 
 def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> SweepResult:
@@ -237,9 +236,10 @@ def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> Sweep
     flat ratio profile (zero temperature) the range starts below it.  For
     chosen multipliers, call `solve_for_mu` at each.
     """
-    prof = _coupled_profile(model, rx, grid)
-    r_coupled = prof.ratio[prof.coupled]
-    mu_full = float(np.nextafter(np.min(r_coupled), 0))
-    mus = np.geomspace(float(np.max(r_coupled)) * (1 - 1e-9), float(np.min(r_coupled)), 50)
-    points = [_solve(prof, rx, grid, mu) for mu in mus.tolist() if mu > mu_full]
-    return SweepResult(points, _solve(prof, rx, grid, mu_full))
+    ratio, coupled, _ = profile = _coupled_profile(model, rx, grid)
+    r_min = float(np.min(ratio, where=coupled, initial=math.inf))
+    r_max = float(np.max(ratio, where=coupled, initial=-math.inf))
+    mu_full = float(np.nextafter(r_min, 0))
+    mus = np.geomspace(r_max * (1 - 1e-9), r_min, 50)
+    points = [_solve(profile, grid, mu) for mu in mus.tolist() if mu > mu_full]
+    return SweepResult(points, _solve(profile, grid, mu_full))

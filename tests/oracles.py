@@ -5,17 +5,19 @@ complex admittance inversion, the tapped-line mutual reactance and the
 open-line voltage and current from the distributed-voltage solutions, the
 tapped-line numerators from their definition, two sines each, capacity/power
 from a plain midpoint Riemann sum on a uniform grid, the water level from a
-loop over the sorted nodes, and grid nodes from the refinement offsets with
-their duplicates.
+loop over the sorted nodes, grid nodes from the refinement offsets with
+their duplicates, and the LC lower bound of the continuous problem from the
+roots of its quadratics, with no grid and no quadrature.
 """
 
 import cmath
 import math
 
+import mpmath
 import numpy as np
 
 from rclink.channels import poles_in_interval
-from rclink.linkmodel import alpha, beta, ratio_alpha_beta
+from rclink.linkmodel import BOLTZMANN, alpha, beta, ratio_alpha_beta
 
 
 def lc_reactance_admittance(inductance, capacitance, omega):
@@ -110,3 +112,49 @@ def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
         nodes[i] = p
     nodes[0], nodes[-1] = lo, hi
     return nodes
+
+
+def lc_quadratics(model, rx, band, p_t):
+    """(E, F) of the continuous LC problem as [u^2, u, 1] coefficients in
+    u = omega^2, mpmath numbers at the working precision: with K = g^2 R_L/2, c = 2 g^2 k T R_L and
+    D(u) = L^2 u + R_L^2 (1 - L C u)^2 the load term, alpha/beta = K D/E with
+    E = c L^2 u + Q_A D, and 1 + p_t (alpha/beta)/B = F/E with F = E + (p_t K/B) D."""
+    mpf = mpmath.mpf
+    ind, cap, rl = mpf(model.inductance), mpf(model.capacitance), mpf(rx.load_resistance)
+    g2 = mpf(rx.amp_gain) ** 2
+    d = [rl**2 * ind**2 * cap**2, ind**2 - 2 * rl**2 * ind * cap, rl**2]
+    e = [mpf(rx.amp_noise_density) * a for a in d]
+    e[1] += 2 * g2 * mpf(BOLTZMANN) * mpf(rx.temperature) * rl * ind**2
+    snr = mpf(p_t) * g2 * rl / 2 / mpf(band.bandwidth)
+    return e, [a + snr * b for a, b in zip(e, d)]
+
+
+def _log_integral(q, lo, hi):
+    """The integral of log q(omega^2) d omega over [lo, hi], for a polynomial q
+    in u = omega^2 of degree at most 2 that is positive on the real line: q is
+    its leading coefficient times (omega - s)(omega + s) per root u = s^2, and
+    the integral of log|omega - s| is Re[(omega - s) log(omega - s)] - omega."""
+    while q[0] == 0:  # no u^2 term without amplifier noise
+        q = q[1:]
+    if len(q) == 3:  # the roots without cancellation: u = t/a and u = c/t
+        a, b, c = q
+        t = -(b + math.copysign(1, b) * mpmath.sqrt(b * b - 4 * a * c)) / 2
+        roots = [t / a, c / t]
+    else:
+        roots = [-q[1] / q[0]] if len(q) == 2 else []
+    total = (hi - lo) * mpmath.log(q[0])
+    for u in roots:
+        for s in (mpmath.sqrt(u), -mpmath.sqrt(u)):
+            for w, sign in ((hi, 1), (lo, -1)):
+                total += sign * (mpmath.re((w - s) * mpmath.log(w - s)) - w)
+    return total
+
+
+def lc_lower_bound_continuous(model, rx, band, p_t):
+    """The lower bound of the continuous LC problem, bits/s: the integral of
+    log2(F/E) d omega / 2 pi over the band (see `lc_quadratics`), in closed form."""
+    with mpmath.workdps(40):
+        lo, hi = mpmath.mpf(band.lo), mpmath.mpf(band.hi)
+        e, f = lc_quadratics(model, rx, band, p_t)
+        return float((_log_integral(f, lo, hi) - _log_integral(e, lo, hi))
+                     / (2 * mpmath.pi * mpmath.log(2)))

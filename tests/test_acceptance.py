@@ -7,6 +7,7 @@ captured output) in addition to its assertions.
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,8 +28,8 @@ from rclink.timedomain import lc_transfer_from_impulse, open_line_series_vi, sho
 from rclink import TLineOpenEnds, TLineShortedTapped
 from rclink.linkmodel import BOLTZMANN
 
-from conftest import LC_MODEL, POWER_W, TLINE_MODEL, impedances, make_receiver
-from oracles import riemann_capacity_power
+from conftest import LC_MODEL, POWER_W, QA, TLINE_MODEL, impedances, make_receiver
+from oracles import lc_lower_bound_continuous, lc_quadratics, riemann_capacity_power
 
 TABLE1 = [
     (5e4, 0.426, 0.500, 17.6),
@@ -265,18 +266,31 @@ def test_criterion_12_capacity_gap_law(tline_band):
     print(f"PASS criterion 12: sqrt(R_L)*(upper - C, lower)/B {rows} within 0.1% of K = {k:.2f}")
 
 
-# the continuous LC problem's spectral efficiencies at R_L = 5e4, 5e5, 5e6
-# (mpmath 30-digit quadrature split at the pole and the support edges)
-CONTINUOUS_LOWER = (0.425575941, 3.575320330, 9.667984990)
+# the continuous LC problem's water-filling spectral efficiencies at R_L = 5e4,
+# 5e5, 5e6 (mpmath 30-digit quadrature split at the pole and the support edges)
 CONTINUOUS_C = (0.499980609, 3.673112672, 9.681265596)
+
+
+@pytest.mark.parametrize("rl, amp_noise", [(5e4, QA), (5e5, QA), (5e6, QA), (5e4, 0.0)])
+def test_continuous_lc_lower_bound_is_its_quadrature(lc_band, rl, amp_noise):
+    rx = make_receiver(rl, amp_noise=amp_noise)
+    closed = lc_lower_bound_continuous(LC_MODEL, rx, lc_band, POWER_W)
+    with mpmath.workdps(30):
+        e, f = lc_quadratics(LC_MODEL, rx, lc_band, POWER_W)
+        def integrand(w):  # log(F/E), of which the bound is the integral over 2 pi ln 2
+            return mpmath.log(mpmath.polyval(f, w * w) / mpmath.polyval(e, w * w))
+        quad = mpmath.quad(integrand, [lc_band.lo, LC_MODEL.resonance, lc_band.hi])
+        quad /= 2 * mpmath.pi * mpmath.log(2)
+    assert abs(closed / quad - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("base_points, tol", [(BASE_POINTS, 2e-5), (65536, 1e-8)])
 def test_criterion_15_table1_against_continuous_lc(lc_band, base_points, tol):
     grid = build_grid(lc_band, LC_MODEL, base_points, REFINE)
     worst = 0.0
-    for (rl, _, _, _), lower, c in zip(TABLE1, CONTINUOUS_LOWER, CONTINUOUS_C):
+    for (rl, _, _, _), c in zip(TABLE1, CONTINUOUS_C):
         rx = make_receiver(rl)
+        lower = lc_lower_bound_continuous(LC_MODEL, rx, lc_band, POWER_W) / lc_band.bandwidth
         for got, want in ((capacity_lower_bound(LC_MODEL, rx, lc_band, POWER_W, grid), lower),
                           (solve_for_power(LC_MODEL, rx, grid, POWER_W).capacity, c)):
             worst = max(worst, abs(got / lc_band.bandwidth / want - 1))

@@ -589,6 +589,7 @@ class TestErrorHandling:
     MIN_POINTS = "base_points must be at least 16"
     REFINE_RANGE = "refine_levels must be in [0, 29]"
     POSITIVE_RL = "load_resistance must be positive and finite"
+    SQUARE_RL = "load_resistance must have a finite square, got 1e+200"
     COARSE = "frequency grid too coarse for the lower-bound integral"
     UNREFINED = {"base_points": 16, "refine_levels": 0}
     # a dict in argv stands for a config file: the default one with those overrides
@@ -619,6 +620,15 @@ class TestErrorHandling:
                    "'analysis.load_resistances_ohm' must be a finite number, got inf"),
         "rl-beyond-float": (["transfer", "--rl", "1e400"],
                             "'analysis.load_resistances_ohm' must be a finite number, got inf"),
+        # finite, but the noise terms square them past the largest float
+        "rl-square-overflows": (["table1", "--rl", "1e200"], SQUARE_RL),
+        "rl-square-overflows-transfer": (["transfer", "--rl", "5e4,1e200"], SQUARE_RL),
+        "receiver-rl-square-overflows": (
+            ["sweep", "--config", {"receiver.load_resistance_ohm": 1e200}],
+            f"invalid receiver: {SQUARE_RL}"),
+        "gain-square-overflows": (["ratio", "--config", {"receiver.amp_gain": 1e200}],
+                                  "invalid receiver: amp_gain must have a finite square, "
+                                  "got 1e+200"),
         # only an absent --config means the built-in setup; an empty path shows
         # quoted, not as nothing
         "config-empty-path": (["waterfill", "--config", ""], "cannot read config '': "),

@@ -29,6 +29,7 @@ from rclink import (
     transfer_magnitude,
 )
 from rclink.cli import main
+from rclink.linkmodel import _bits
 from rclink.waterfill import _water_floor
 from rclink.config import DEFAULT_TLINE_CHANNEL, default_config, load_config, serialize_config
 
@@ -434,6 +435,17 @@ class TestSweep:
         r = ratio_alpha_beta(model, receiver, grid)[grid.sample.num_rt != 0]
         assert sweep(model, receiver, grid).termination.mu == np.nextafter(r.min(), 0)
 
+    @pytest.mark.parametrize("kind", ["lc", "shorted"])
+    def test_points_are_solve_for_mu_at_their_levels(self, lc_grid, tline_grid, receiver, kind):
+        # one solver behind both: the sweep forms beta once for all its levels
+        model, grid = (LC_MODEL, lc_grid) if kind == "lc" else (TLINE_MODEL, tline_grid)
+        result = sweep(model, receiver, grid)
+        for point in result.points + [result.termination]:
+            sol = solve_for_mu(model, receiver, grid, point.mu)
+            assert (sol.mu, sol.capacity, sol.power) == (point.mu, point.capacity, point.power)
+            assert sol.s_it.tobytes() == point.s_it.tobytes()
+            np.testing.assert_array_equal(sol.support_mask, point.support_mask)
+
 
 class TestQuadratureOracle:
     @pytest.mark.parametrize("rl", [5e4, 5e5, 5e6])
@@ -493,6 +505,7 @@ class TestRandomShortedLines:
         valid = eval_reactances(model, grid.nodes).num_rt != 0
         assert np.all(r[sol.support_mask] > sol.mu)
         assert np.all(r[valid & ~sol.support_mask] <= sol.mu)
+        assert np.all(sol.s_it[~sol.support_mask] == 0) and np.all(sol.s_it[sol.support_mask] > 0)
         assert abs(sol.power - p_t) / p_t <= 1e-12
         level = water_level_by_loop(r[valid], grid.weights[valid], p_t)
         np.testing.assert_array_equal(sol.support_mask, valid & (r >= level))
@@ -746,3 +759,26 @@ class TestUncoupledChannel:
             assert capsys.readouterr().err == \
                 "config error: channel has no coupling anywhere in the band\n"
         assert list(tmp_path.iterdir()) == [config]
+
+
+def test_uncoupled_nodes_are_left_out(tline_grid, tline_band, receiver):
+    """A grid whose mutual reactance vanishes at some of its nodes (no channel
+    here has one: its sines vanish only at omega = 0 or for a tap on an end):
+    those nodes get no power, and the water level, the sweep's range and the
+    lower bound are those of the coupled nodes alone."""
+    num_rt = tline_grid.sample.num_rt.copy()
+    num_rt[::7] = 0.0
+    grid = replace(tline_grid, sample=replace(tline_grid.sample, num_rt=num_rt))
+    coupled = num_rt != 0
+    r = ratio_alpha_beta(TLINE_MODEL, receiver, grid)
+    sol = solve_for_power(TLINE_MODEL, receiver, grid, POWER_W)
+    level = water_level_by_loop(r[coupled], grid.weights[coupled], POWER_W)
+    np.testing.assert_array_equal(sol.support_mask, coupled & (r >= level))
+    assert np.all(sol.s_it[~coupled] == 0)
+    assert abs(sol.power - POWER_W) <= 1e-12 * POWER_W
+    result = sweep(TLINE_MODEL, receiver, grid)
+    assert result.points[0].mu == r[coupled].max() * (1 - 1e-9)
+    assert result.termination.mu == np.nextafter(r[coupled].min(), 0)
+    snr = np.where(coupled, POWER_W * r / tline_band.bandwidth, 0.0)
+    assert capacity_lower_bound(TLINE_MODEL, receiver, tline_band, POWER_W, grid) == \
+        _bits(grid.weights, snr)
