@@ -7,10 +7,12 @@ amplifier.  Noise enters as Johnson noise of the resistor (density
 functionals are computed from the rational reactance representation so they
 stay finite on the channel poles, and take a channel model, never a bare
 sample, at omega or on a `FrequencyGrid` built for it, whose reactances they
-read.  alpha/beta is read from one per-node profile, which also marks where
-the channel couples; only readers of beta form it, from the profile's load
-term.  The module holds the grid type, the one trapezoid rule and the one
-capacity sum over grid nodes, all also used by `waterfill`.
+read.  Each is a load share, f = num_r^2/load or t = num_rt^2/load with
+load = num_r^2 + (R_L denom)^2, times receiver constants, and none subtracts:
+alpha/beta = 1/(4kT f + 2Q_A/(g^2 R_L)) reads f alone, and only the readers of
+beta, the transfer and the output PSD form t.  The module holds the grid type,
+the one trapezoid rule and the one capacity sum over grid nodes, all also used
+by `waterfill`.
 """
 
 from __future__ import annotations
@@ -55,16 +57,21 @@ class ReceiverParams:
     temperature: float  # K
 
     def __post_init__(self):
-        for name in ("load_resistance", "amp_gain"):  # both enter the noise terms squared
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
+        for name in ("load_resistance", "amp_gain"):
+            if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-            if value * value == math.inf:
-                raise ValueError(f"{name} must have a finite square, got {value!r}")
-        if not (0 <= self.amp_noise_density < math.inf and 0 <= self.temperature < math.inf):
+        rl, g, q_a = self.load_resistance, self.amp_gain, self.amp_noise_density
+        if rl * rl == math.inf:  # the load share squares R_L*denom
+            raise ValueError(f"load_resistance must have a finite square, got {rl!r}")
+        if not (0 <= q_a < math.inf and 0 <= self.temperature < math.inf):
             raise ValueError("noise density and temperature must be nonnegative and finite")
-        if self.amp_noise_density == 0 and self.temperature == 0:
+        if q_a == 0 and self.temperature == 0:
             raise ValueError("degenerate noiseless receiver (T=0 and Q_A=0)")
+        floor = _amp_floor(self)
+        ceiling = 1 / floor if floor else math.inf  # the largest alpha/beta
+        if g * g * rl == math.inf or q_a > 0 and ceiling == math.inf:
+            raise ValueError("the SNR ceiling g*g*R_L/(2*Q_A) and g*g*R_L must be finite, "
+                             f"got amp_gain={g!r}, load_resistance={rl!r}")
 
 
 @dataclass(frozen=True)
@@ -132,60 +139,49 @@ def _sample(model, omega) -> ReactanceSample:
     return eval_reactances(model, omega)
 
 
-def _noise(s: ReactanceSample, rx: ReceiverParams):
-    """Load term num_r^2 + R_L^2 denom^2 and Johnson term 2 g^2 k T R_L num_r^2."""
-    rl = rx.load_resistance
-    r2 = np.square(s.num_r)
-    load = r2 + rl**2 * np.square(s.denom)
-    r2 *= 2 * rx.amp_gain**2 * BOLTZMANN * rx.temperature * rl  # now the Johnson term
-    return load, r2
+def _amp_floor(rx: ReceiverParams) -> float:
+    """2 Q_A/(g g R_L): 1/(alpha/beta) where the Johnson share is 0."""
+    return 2 * rx.amp_noise_density / (rx.amp_gain * rx.amp_gain * rx.load_resistance)
+
+
+def _shares(model, rx: ReceiverParams, omega, mutual: bool = False):
+    """(f, coupled, t) of `model` at omega or on its grid: the load shares f = num_r^2/load
+    and, only if `mutual`, t = num_rt^2/load (else None), load = num_r^2 + (R_L denom)^2,
+    both fresh, and where the mutual reactance is nonzero, so the channel couples."""
+    s = _sample(model, omega)
+    load = rx.load_resistance * s.denom
+    load *= load
+    f = np.square(s.num_r)
+    load += f
+    f /= load
+    t = None
+    if mutual:
+        t = np.square(s.num_rt)
+        t /= load
+    return f, s.num_rt != 0, t
+
+
+def _ratio(f, rx: ReceiverParams):
+    """alpha/beta = 1/(4kT f + 2Q_A/(g g R_L)), written over the Johnson share f."""
+    f *= 4 * BOLTZMANN * rx.temperature
+    f += _amp_floor(rx)
+    return np.reciprocal(f, out=f if np.ndim(f) else None)
 
 
 def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
-    """|V_R / I_T| = R_L |Z_RT| / |Z_R + R_L| in ohms, finite on poles."""
-    s = _sample(model, omega)
-    return rx.load_resistance * np.abs(s.num_rt) / np.sqrt(_noise(s, rx)[0])
-
-
-class _Profile(NamedTuple):
-    """alpha/beta at every node, where the channel couples, and the two terms
-    `_beta` forms beta from; alpha itself is ratio * beta."""
-
-    ratio: np.ndarray | float
-    coupled: np.ndarray | bool  # False where the mutual reactance vanishes
-    num_rt: np.ndarray | float
-    load: np.ndarray | float  # num_r^2 + R_L^2 denom^2
-
-
-def _profile(model, rx: ReceiverParams, omega) -> _Profile:
-    """The profile of `model` at omega or on its grid; the Johnson term is dropped once read."""
-    s = _sample(model, omega)
-    load, den = _noise(s, rx)
-    den += rx.amp_noise_density * load  # Johnson plus amplifier noise
-    # multiplied-out arrangement: no cancellation off-pole, finite on poles
-    r = (rx.amp_gain**2 * rx.load_resistance / 2) * load
-    r /= den
-    return _Profile(r, s.num_rt != 0, s.num_rt, load)
-
-
-def _beta(num_rt, load, rx: ReceiverParams):
-    """beta = 2 R_L num_rt^2 / load, in a fresh array: a grid's arrays are never written."""
-    rt2 = np.square(num_rt)
-    rt2 *= 2 * rx.load_resistance
-    rt2 /= load
-    return rt2
+    """|V_R / I_T| = R_L |Z_RT| / |Z_R + R_L| = R_L sqrt(t) in ohms, finite on poles."""
+    return rx.load_resistance * np.sqrt(_shares(model, rx, omega, mutual=True)[2])
 
 
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s), as ratio * beta."""
-    prof = _profile(model, rx, omega)
-    return prof.ratio * _beta(prof.num_rt, prof.load, rx)
+    f, _, t = _shares(model, rx, omega, mutual=True)
+    return _ratio(f, rx) * (2 * rx.load_resistance * t)
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
-    """Transmit power per unit transmit-current spectral density, ohms."""
-    s = _sample(model, omega)
-    return _beta(s.num_rt, _noise(s, rx)[0], rx)
+    """Transmit power per unit transmit-current spectral density, 2 R_L t, in ohms."""
+    return 2 * rx.load_resistance * _shares(model, rx, omega, mutual=True)[2]
 
 
 def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -197,17 +193,18 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
     of this quantity; a pole cancelled in Z_R, such as an even mode of a line
     whose receive tap sits at its middle, can be a local maximum.
     """
-    return _profile(model, rx, omega).ratio
+    return _ratio(_shares(model, rx, omega)[0], rx)
 
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
     """Amplifier-output spectral density for transmit density s_it (A^2/Hz)."""
     if not np.all((0 <= np.asarray(s_it)) & (np.asarray(s_it) < math.inf)):
         raise ValueError("s_it must be nonnegative and finite")
-    s = _sample(model, omega)
-    load, johnson = _noise(s, rx)
-    signal = rx.amp_gain**2 * np.square(s.num_rt) * rx.load_resistance**2 * s_it / load
-    return OutputPsd(signal, johnson / load, rx.amp_noise_density * np.ones_like(load))
+    f, _, t = _shares(model, rx, omega, mutual=True)
+    ggr = rx.amp_gain * rx.amp_gain * rx.load_resistance
+    t *= rx.load_resistance  # beta/2 first: g*g*R_L*R_L can overflow
+    f *= 2 * BOLTZMANN * rx.temperature * ggr
+    return OutputPsd(t * s_it * ggr, f, rx.amp_noise_density * np.ones_like(f))
 
 
 def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
@@ -220,7 +217,7 @@ def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
     if rx.amp_noise_density == 0:
         return math.inf if p_t > 0 else 0.0
     b = band.bandwidth
-    snr = p_t * rx.amp_gain**2 * rx.load_resistance / (2 * b * rx.amp_noise_density)
+    snr = 1 / _amp_floor(rx) * (p_t / b)  # the flat SNR at zero temperature
     return b * math.log1p(snr) / math.log(2)
 
 
@@ -258,9 +255,9 @@ def capacity_lower_bound(
         raise ValueError("p_t must be nonnegative and finite")
     if band != grid.band:
         raise ValueError("grid was built for another band")
-    snr, coupled = _profile(model, rx, grid)[:2]  # the ratio, a fresh array
-    snr *= p_t
-    snr /= band.bandwidth
+    f, coupled, _ = _shares(model, rx, grid)
+    snr = _ratio(f, rx)
+    snr *= p_t / band.bandwidth
     np.copyto(snr, 0.0, where=~coupled)
     result = _bits(grid.weights, snr)
     half = np.r_[0 : len(snr) - 1 : 2, len(snr) - 1]

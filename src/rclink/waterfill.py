@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelModel, eval_reactances, poles_in_interval
-from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _beta, _bits, _profile,
+from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _bits, _ratio, _shares,
                         _trapezoid_weights)
 
 __all__ = [
@@ -119,12 +119,14 @@ def build_grid(
 
 
 def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid):
-    """alpha/beta, the coupled mask and beta on the grid, beta formed once for every
-    level a caller solves at; refuses another channel and one that couples at no node."""
-    ratio, coupled, num_rt, load = _profile(model, rx, grid)
+    """alpha/beta, the coupled mask and beta = 2 R_L t on the grid, from one pair of
+    load shares, beta formed once for every level a caller solves at; refuses another
+    channel and one that couples at no node."""
+    f, coupled, t = _shares(model, rx, grid, mutual=True)
     if not np.any(coupled):
         raise ValueError("channel has no coupling anywhere in the band")
-    return ratio, coupled, _beta(num_rt, load, rx)
+    t *= 2 * rx.load_resistance
+    return _ratio(f, rx), coupled, t
 
 
 def _solve(profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:

@@ -379,6 +379,27 @@ class TestLoadResistance:
         assert (a == b) == reads_receiver
         assert (a == c) != reads_receiver
 
+    # the paper's regime: R_L far above the reference values, up to the largest whose
+    # square is a float.  A dict in argv stands for a config file, as in BAD_INPUTS.
+    LARGE = {
+        "table1": ["table1", "--rl", "1e110,1e150"],
+        "transfer": ["transfer", "--rl", "1e150"],
+        "ratio": ["ratio", "--rl", "1e150"],
+        "waterfill": ["waterfill", "--config", {"receiver.load_resistance_ohm": 1e150}],
+        "sweep": ["sweep", "--config", {"receiver.load_resistance_ohm": 1e150}],
+    }
+
+    @pytest.mark.parametrize("argv", LARGE.values(), ids=LARGE)
+    def test_large_load_resistance_runs(self, tmp_path, argv):
+        # a numpy overflow warning fails the suite, so none is raised on the way
+        config = write_config(tmp_path, next((a for a in argv if isinstance(a, dict)), {}))
+        argv = [str(config) if isinstance(a, dict) else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o.csv")]) == 0
+        files = sorted(tmp_path.glob("o*.csv"))
+        assert files
+        for path in files:
+            assert np.isfinite(read_csv(path)[1]).all()
+
 
 class TestTable1Command:
     def test_reference_values_and_determinism(self, tmp_path):
@@ -590,6 +611,7 @@ class TestErrorHandling:
     REFINE_RANGE = "refine_levels must be in [0, 29]"
     POSITIVE_RL = "load_resistance must be positive and finite"
     SQUARE_RL = "load_resistance must have a finite square, got 1e+200"
+    CEILING = "the SNR ceiling g*g*R_L/(2*Q_A) and g*g*R_L must be finite, got amp_gain="
     COARSE = "frequency grid too coarse for the lower-bound integral"
     UNREFINED = {"base_points": 16, "refine_levels": 0}
     # a dict in argv stands for a config file: the default one with those overrides
@@ -620,15 +642,21 @@ class TestErrorHandling:
                    "'analysis.load_resistances_ohm' must be a finite number, got inf"),
         "rl-beyond-float": (["transfer", "--rl", "1e400"],
                             "'analysis.load_resistances_ohm' must be a finite number, got inf"),
-        # finite, but the noise terms square them past the largest float
+        # finite, but the load share squares R_L past the largest float
         "rl-square-overflows": (["table1", "--rl", "1e200"], SQUARE_RL),
         "rl-square-overflows-transfer": (["transfer", "--rl", "5e4,1e200"], SQUARE_RL),
         "receiver-rl-square-overflows": (
             ["sweep", "--config", {"receiver.load_resistance_ohm": 1e200}],
             f"invalid receiver: {SQUARE_RL}"),
+        # g*g*R_L/(2*Q_A), the largest alpha/beta, past the largest float: with g*g
+        # overflowing, with g*g finite, and with the gain accepted at the file's R_L
         "gain-square-overflows": (["ratio", "--config", {"receiver.amp_gain": 1e200}],
-                                  "invalid receiver: amp_gain must have a finite square, "
-                                  "got 1e+200"),
+                                  f"invalid receiver: {CEILING}1e+200, "),
+        "gain-over-ceiling": (["waterfill", "--config", {"receiver.amp_gain": 1e150}],
+                              f"invalid receiver: {CEILING}1e+150, load_resistance=50000.0"),
+        "gain-and-rl-over-ceiling": (
+            ["table1", "--rl", "1e110", "--config", {"receiver.amp_gain": 1e100}],
+            f"config error: {CEILING}1e+100, load_resistance=1e+110"),
         # only an absent --config means the built-in setup; an empty path shows
         # quoted, not as nothing
         "config-empty-path": (["waterfill", "--config", ""], "cannot read config '': "),

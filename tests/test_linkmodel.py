@@ -1,6 +1,8 @@
 import math
+import sys
 from dataclasses import dataclass, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,11 @@ from rclink import (
     output_psd,
     ratio_alpha_beta,
     solve_for_power,
+    sweep,
     transfer_magnitude,
 )
-from rclink.channels import ReactanceSample, eval_reactances
+from rclink.channels import (LcParallel, ReactanceSample, TLineOpenEnds, TLineShortedTapped,
+                             eval_reactances)
 from rclink.config import default_config
 
 from conftest import LC_MODEL, POWER_W, QA, TLINE_MODEL, make_receiver
@@ -130,6 +134,74 @@ class TestRatio:
         for fn in (alpha, beta, ratio_alpha_beta, transfer_magnitude):
             ref = fn(FixedSample(s), rx, omega)
             assert fn(FixedSample(scaled), rx, omega) == pytest.approx(ref, rel=1e-12)
+
+
+@st.composite
+def large_links(draw):
+    """A channel of each kind with a band it couples over, and a receiver at 300 K
+    whose R_L and g are log-uniform in [1e4, 1e160] and [1, 1e160], across the
+    refusals of an overflowing R_L^2 (1.3e154) and of g*g*R_L/(2*Q_A).  The LC band
+    stays below sqrt(2) times the resonance, where |denom| <= 1, as on the lines."""
+    kind = draw(st.sampled_from(["lc", "open", "shorted"]))
+    if kind == "lc":
+        model = LcParallel(draw(st.floats(1e-9, 1e-8)), draw(st.floats(1e-13, 1e-12)))
+        carrier = model.resonance * draw(st.floats(0.9, 1.1))
+    else:
+        z0, length = draw(st.floats(1.0, 500.0)), draw(st.floats(10.0, 100.0))
+        if kind == "open":
+            model = TLineOpenEnds(z0, 3e8, length)
+        else:
+            model = TLineShortedTapped(z0, 3e8, length, *(draw(st.floats(0.05, 0.95)) * length
+                                                           for _ in range(2)))
+        carrier = 2 * math.pi * draw(st.floats(1e8, 3e9))
+    rl, gain = (10.0 ** draw(st.floats(lo, 160.0)) for lo in (4.0, 0.0))
+    return model, Band(carrier, 1e7), rl, gain
+
+
+class TestLargeReceivers:
+    @settings(max_examples=200, deadline=None)
+    @given(case=large_links())
+    def test_accepted_receiver_is_finite_and_ratio_exact(self, case):
+        # the suite fails on any numpy warning, so no overflow is met on the way
+        model, band, rl, gain = case
+        with mpmath.workdps(40):
+            mpf = mpmath.mpf
+            ceiling = mpf(gain) ** 2 * mpf(rl) / (2 * mpf(QA))
+            top = mpf(sys.float_info.max)
+            try:
+                rx = ReceiverParams(rl, gain, QA, 300.0)
+            except ValueError as exc:
+                assert "finite square" in str(exc) or "SNR ceiling" in str(exc)
+                assert max(mpf(rl) ** 2, ceiling) > top * (1 - 1e-12)
+                return
+            assert max(mpf(rl) ** 2, ceiling) < top * (1 + 1e-12)
+            grid = build_grid(band, model)
+            sol = solve_for_power(model, rx, grid, POWER_W)
+            swept = sweep(model, rx, grid)
+            try:
+                lower = capacity_lower_bound(model, rx, band, POWER_W, grid)
+            except ValueError as exc:  # a refusal of the grid, at any R_L and g
+                assert "grid too coarse" in str(exc)
+                lower = 0.0
+            values = [alpha(model, rx, grid), beta(model, rx, grid),
+                      transfer_magnitude(model, rx, grid), sol.s_it, *output_psd(
+                          model, rx, grid, sol.s_it),
+                      [lower, capacity_upper_bound(rx, band, POWER_W), sol.capacity, sol.power],
+                      [x for p in (*swept.points, swept.termination)
+                       for x in (p.mu, p.capacity, p.power)]]
+            ratio = ratio_alpha_beta(model, rx, grid)
+            for v in (ratio, *values):
+                assert np.isfinite(v).all()
+            # against 40 digits from the same sample, at the pole nodes and 64 others:
+            # ten roundings, each within u = 2**-53, bound the relative error by 10u
+            # to first order (5 to 10 ulps; the worst seen is 5.05 ulps)
+            s = grid.sample
+            floor = 2 * mpf(QA) / (mpf(gain) ** 2 * mpf(rl))
+            for i in {*grid.pole_nodes.tolist(), *np.linspace(0, len(ratio) - 1, 64, dtype=int)}:
+                r2 = mpf(s.num_r[i]) ** 2
+                exact = 1 / (4 * mpf(KB) * 300 * r2 / (r2 + (mpf(rl) * mpf(s.denom[i])) ** 2)
+                             + floor)
+                assert abs(mpf(ratio[i]) - exact) <= 10 * 2.0**-53 * exact, i
 
 
 class TestOutputPsd:
