@@ -2,7 +2,8 @@
 
 Each artifact command is one `_COMMANDS` entry whose function returns its
 files as (path, text) pairs, and takes the flags that entry lists; the grid
-is set by the config's `grid` section alone.  `main` reads the config
+sizes itself from the channel's in-band poles, refined as the config's `grid`
+section alone sets.  `main` reads the config
 document, writes every given flag into it at the (section, key) that
 `_FLAGS` names, parses it once, builds the grid, runs the command and only
 then writes the files atomically (temp + rename), so a refused input writes
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
         if not os.path.basename(args.out):  # else a file would be named from "" alone
             raise ConfigError(f"--out must name a file, got {args.out!r}")
         config = parse_config(_document(args))
-        grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
+        grid = build_grid(config.band, config.channel, refine_levels=config.refine_levels)
         files = _COMMANDS[args.command][2](config, grid, args.out)
         paths = [path for path, _ in files]
         if len(set(paths)) < len(paths):

@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass
 
 from .channels import CHANNEL_KINDS, ChannelModel, LcParallel
 from .linkmodel import Band, ReceiverParams
-from .waterfill import DEFAULT_BASE_POINTS, DEFAULT_REFINE_LEVELS
+from .waterfill import DEFAULT_REFINE_LEVELS
 
 __all__ = ["RunConfig", "ConfigError", "load_document", "parse_config", "serialize_config",
            "default_config"]
@@ -40,7 +40,7 @@ DEFAULT_CONFIG = {
         "temperature_k": 300.0,
     },
     "band": {"carrier_rad_s": LcParallel(*_DEFAULT_LC.values()).resonance, "bandwidth_hz": 1.0e7},
-    "grid": {"base_points": DEFAULT_BASE_POINTS, "refine_levels": DEFAULT_REFINE_LEVELS},
+    "grid": {"refine_levels": DEFAULT_REFINE_LEVELS},
     "analysis": {
         "load_resistances_ohm": [5.0e4, 5.0e5, 5.0e6],
         "power_w": 2.68e-14,
@@ -69,7 +69,6 @@ class RunConfig:
     channel: ChannelModel
     receiver: ReceiverParams
     band: Band
-    base_points: int
     refine_levels: int
     load_resistances: tuple[float, ...]
     power_w: float

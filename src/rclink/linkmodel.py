@@ -217,8 +217,11 @@ def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
     if rx.amp_noise_density == 0:
         return math.inf if p_t > 0 else 0.0
     b = band.bandwidth
-    snr = 1 / _amp_floor(rx) * (p_t / b)  # the flat SNR at zero temperature
-    return b * math.log1p(snr) / math.log(2)
+    ceiling = 1 / _amp_floor(rx)
+    snr = ceiling * (p_t / b)  # the flat SNR at zero temperature
+    # past the largest float, log1p(snr) is log(snr) to the last bit
+    nats = math.log1p(snr) if snr < math.inf else math.log(ceiling) + math.log(p_t / b)
+    return b * nats / math.log(2)
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:

@@ -38,7 +38,8 @@ __all__ = [
     "sweep",
 ]
 
-DEFAULT_BASE_POINTS = 512
+DEFAULT_BASE_POINTS = 512  # the fewest base points a grid sized by its poles gets
+_POINTS_PER_POLE = 8
 DEFAULT_REFINE_LEVELS = 6
 _MAX_REFINE_LEVELS = 29  # h/2**30 is under the near-duplicate spacing h*1e-9
 
@@ -65,11 +66,13 @@ class SweepResult:
 def build_grid(
     band: Band,
     model: ChannelModel,
-    base_points: int = DEFAULT_BASE_POINTS,
+    base_points: int | None = None,
     refine_levels: int = DEFAULT_REFINE_LEVELS,
 ) -> FrequencyGrid:
     """Uniform base grid with nested halving refinement around the poles in and near the band.
 
+    Without `base_points` the grid sizes itself: max(512, 8 * in-band poles) base
+    points, counted in its one pole query.
     Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to every
     pole within 10h of the band, h the base spacing, keeping the nodes in the band.
     The band edges are nodes, and every in-band pole is one: it is snapped onto its
@@ -78,15 +81,19 @@ def build_grid(
     near-duplicates, are refused, as is a grid on which two in-band poles would snap
     to one node.  The channel is evaluated once, at the final nodes.
     """
-    if base_points < 16:
+    if base_points is not None and base_points < 16:
         raise ValueError("base_points must be at least 16")
     if not 0 <= refine_levels <= _MAX_REFINE_LEVELS:
         raise ValueError(f"refine_levels must be in [0, {_MAX_REFINE_LEVELS}]")
     lo, hi = band.lo, band.hi
-    h = (hi - lo) / (base_points - 1)
+    h = (hi - lo) / ((base_points or DEFAULT_BASE_POINTS) - 1)
     # a pole just outside the band reaches into it with its log singularity
     centres = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
     poles = centres[(centres >= lo) & (centres <= hi)]
+    if base_points is None:  # the query spanned the widest window, the 512-point grid's
+        base_points = max(DEFAULT_BASE_POINTS, _POINTS_PER_POLE * len(poles))
+        h = (hi - lo) / (base_points - 1)
+        centres = centres[(centres >= lo - 10 * h) & (centres <= hi + 10 * h)]
     # doubling is exact, so level l's even-k offsets repeat level l-1's bit for
     # bit: 41 + 20*(levels-1) distinct offsets, and no duplicate node to sort
     offsets = np.unique((h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21))
@@ -107,8 +114,8 @@ def build_grid(
     pole_idx = np.where(poles - lo <= tol, 0, np.where(hi - poles <= tol, last, nearest))
     if np.any(np.diff(pole_idx) == 0):
         raise ValueError(f"{len(poles) - len(np.unique(pole_idx))} of {len(poles)} in-band "
-                         "poles would share a node with another; raise base_points or "
-                         "refine_levels")
+                         "poles would share a node with another; raise refine_levels, or pass "
+                         "build_grid more base_points")
     nodes[pole_idx] = poles
     nodes[0], nodes[-1] = lo, hi
     weights = _trapezoid_weights(nodes)

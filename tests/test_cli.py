@@ -30,7 +30,7 @@ from rclink import (
 )
 from rclink.channels import CHANNEL_KINDS, poles_in_interval
 from rclink.cli import _COMMANDS, _FLAGS, main
-from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL, ConfigError
+from rclink.config import DEFAULT_CONFIG, DEFAULT_TLINE_CHANNEL, ConfigError, load_config
 from rclink.waterfill import build_grid
 
 from conftest import LC_MODEL, TLINE_MODEL
@@ -233,8 +233,7 @@ class TestSections:
         bandwidth=st.floats(1.0, 1e9),
         headroom=st.floats(1.01, 1e6),  # the carrier over the band's half width
         in_hz=st.booleans(),
-        grid=st.fixed_dictionaries({}, optional={
-            "base_points": st.integers(16, 10**6), "refine_levels": st.integers(0, 29)}),
+        grid=st.fixed_dictionaries({}, optional={"refine_levels": st.integers(0, 29)}),
         analysis=st.fixed_dictionaries({}, optional={
             "load_resistances_ohm": st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=4),
             "power_w": st.floats(-1e3, 1e3, **FINITE),
@@ -466,6 +465,22 @@ class TestTable1Command:
         _, lower, se, upper = read_csv(out)[1].T
         assert np.all((lower < se) & (se < upper))
 
+    @pytest.mark.parametrize("poles", [500, 2000, 8000])
+    def test_long_line_runs_at_the_default_grid(self, tmp_path, poles):
+        # 15 m of line per in-band pole, and 2 cm more keeps each band edge 0.4
+        # pole spacings from a pole; 512 base points were refused as too coarse
+        doc = json.loads((Path(__file__).parent / "tline_2000_poles.json").read_text())
+        length = 15.0 * poles + 0.02
+        doc["channel"].update(length_m=length, x_transmit_m=0.31 * length,
+                              x_receive_m=0.77 * length)
+        config, out = tmp_path / "config.json", tmp_path / "t.csv"
+        config.write_text(json.dumps(doc))
+        parsed = load_config(config)
+        assert len(poles_in_interval(parsed.channel, parsed.band.lo, parsed.band.hi)) == poles
+        assert main(["table1", "--config", str(config), "--out", str(out)]) == 0
+        _, lower, se, upper = read_csv(out)[1].T
+        assert np.all((lower < se) & (se < upper))
+
 
 @pytest.mark.parametrize("command", sorted(_COMMANDS))
 def test_one_channel_evaluation_per_run(tmp_path, monkeypatch, command):
@@ -556,7 +571,7 @@ class TestErrorHandling:
         # the last value would win without a word: here, a zero-temperature run
         text = json.dumps(serialize_config(default_config()))
         if where == "top":
-            key, text = "grid", text[:-1] + ', "grid": {"base_points": 100}}'
+            key, text = "grid", text[:-1] + ', "grid": {"refine_levels": 2}}'
         else:
             key = "temperature_k"
             text = text.replace('"temperature_k": 300.0', '"temperature_k": 300.0, '
@@ -607,19 +622,20 @@ class TestErrorHandling:
     # each value reaches a solver or the grid builder, which refuses it with
     # the message fragment given next to it
     POSITIVE_POWER = "p_t must be positive and finite"
-    MIN_POINTS = "base_points must be at least 16"
+    # the base points follow the channel's poles, so a config cannot set them
+    NO_BASE_POINTS = "unknown keys in 'grid': ['base_points']"
     REFINE_RANGE = "refine_levels must be in [0, 29]"
     POSITIVE_RL = "load_resistance must be positive and finite"
     SQUARE_RL = "load_resistance must have a finite square, got 1e+200"
     CEILING = "the SNR ceiling g*g*R_L/(2*Q_A) and g*g*R_L must be finite, got amp_gain="
     COARSE = "frequency grid too coarse for the lower-bound integral"
-    UNREFINED = {"base_points": 16, "refine_levels": 0}
+    TLINE_600M = json.loads((Path(__file__).parent / "tline_600m.json").read_text())
     # a dict in argv stands for a config file: the default one with those overrides
     BAD_INPUTS = {
         "power-zero": (["waterfill", "--power", "0"], POSITIVE_POWER),
         "power-negative": (["waterfill", "--power", "-1"], POSITIVE_POWER),
-        "base-points-zero": (["waterfill", "--config", {"grid.base_points": 0}], MIN_POINTS),
-        "base-points-8": (["waterfill", "--config", {"grid.base_points": 8}], MIN_POINTS),
+        "base-points-zero": (["waterfill", "--config", {"grid.base_points": 0}], NO_BASE_POINTS),
+        "base-points-8": (["waterfill", "--config", {"grid.base_points": 8}], NO_BASE_POINTS),
         "refine-negative": (["waterfill", "--config", {"grid.refine_levels": -1}], REFINE_RANGE),
         "refine-30": (["sweep", "--config", {"grid.refine_levels": 30}], REFINE_RANGE),
         "refine-2000": (["sweep", "--config", {"grid.refine_levels": 2000}], REFINE_RANGE),
@@ -627,10 +643,15 @@ class TestErrorHandling:
         "rl-second-negative": (["transfer", "--rl", "5e4,-5"], POSITIVE_RL),
         "rl-same-file-name": (["ratio", "--rl", "123456.7,123456.8"],
                               "output files would overwrite each other"),
-        "config-base-points-8": (["transfer", "--config", {"grid.base_points": 8}], MIN_POINTS),
-        "table1-16-nodes": (["table1", "--config", {"grid": UNREFINED}], COARSE),
-        "table1-40-nodes": (["table1", "--config", {"grid": {**UNREFINED, "base_points": 40}}],
-                            COARSE),
+        "config-base-points-8": (["transfer", "--config", {"grid.base_points": 8}],
+                                 NO_BASE_POINTS),
+        # the 600 m line's 40 poles on 512 base points, with too little refinement
+        "table1-600m-unrefined": (["table1", "--config", {
+            **TLINE_600M, "grid": {"refine_levels": 0}}], f"{COARSE} (refinement changes "
+                                  "result by 3.60e-03)"),
+        "table1-600m-one-level": (["table1", "--config", {
+            **TLINE_600M, "grid": {"refine_levels": 1}}], f"{COARSE} (refinement changes "
+                                  "result by 4.61e-03)"),
         # flags obey the config file's number rule
         "power-nan": (["waterfill", "--power", "nan"],
                       "'analysis.power_w' must be a finite number, got nan"),
@@ -660,10 +681,6 @@ class TestErrorHandling:
         # only an absent --config means the built-in setup; an empty path shows
         # quoted, not as nothing
         "config-empty-path": (["waterfill", "--config", ""], "cannot read config '': "),
-        # 40 in-band poles snapped onto 16 nodes
-        "poles-share-a-node": (["waterfill", "--config", {
-            **json.loads((Path(__file__).parent / "tline_600m.json").read_text()),
-            "grid": UNREFINED}], "25 of 40 in-band poles would share a node"),
     }
 
     @pytest.mark.parametrize("argv, reason", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -684,9 +701,9 @@ class TestErrorHandling:
         "receiver.amp_gain": (None, "a finite number"),
         "band.bandwidth_hz": ("1e7", "a finite number"),
         "analysis.load_resistances_ohm": (5e4, "a nonempty list of numbers"),
-        "grid.base_points": (None, "an integer"),
+        "grid.refine_levels": (None, "an integer"),
         "receiver": (5, "a JSON object"),
-        "grid.base_points-fraction": (512.9, "an integer"),
+        "grid.refine_levels-fraction": (6.5, "an integer"),
         "grid.refine_levels-bool": (True, "an integer"),
         "analysis.power_w-string": ("2.68e-14", "a finite number"),
         "analysis.load_resistances_ohm-string": (["5e4"], "a finite number"),
@@ -810,7 +827,7 @@ def test_curve_files_match_the_per_value_reference(tmp_path, kind, command):
     assert main([command, "--config", str(path), "--out", str(out / "c.csv")]) == 0
     config = parse_config(doc)
     assert len(config.load_resistances) == 3
-    grid = build_grid(config.band, config.channel, config.base_points, config.refine_levels)
+    grid = build_grid(config.band, config.channel, refine_levels=config.refine_levels)
     names = []
     for rl in config.load_resistances:
         rx = replace(config.receiver, load_resistance=rl)
@@ -852,7 +869,7 @@ class TestParserReuse:
 
     @pytest.mark.parametrize("case", REUSE.values(), ids=REUSE.keys())
     def test_no_value_carries_over(self, tmp_path, case):
-        config = write_config(tmp_path, {"grid.base_points": 100})
+        config = write_config(tmp_path, {"grid.refine_levels": 2})
         with_value = [str(config) if a == "CONFIG" else a for a in case[0]]
         cli._build_parser.cache_clear()
         fresh = self.run_artifact(case[1], tmp_path / "fresh")

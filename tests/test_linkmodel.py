@@ -242,6 +242,18 @@ class TestCapacityBounds:
         assert capacity_upper_bound(rx, lc_band, POWER_W) == math.inf
         assert capacity_upper_bound(rx, lc_band, 0.0) == 0.0
 
+    @pytest.mark.parametrize("p_t", [1e8, 1e9])
+    def test_upper_bound_past_the_float_range(self, lc_band, p_t):
+        # rho_inf = g*g*R_L/(2*Q_A) = 1.5e307 is accepted; at 1e9 W, rho_inf*p_t/B
+        # overflows, and the bound is read from the logs of its factors
+        rx = ReceiverParams(1e140, 1e75, QA, 300.0)
+        with mpmath.workdps(40):
+            snr = mpmath.mpf(1e75) ** 2 * mpmath.mpf(1e140) / (2 * mpmath.mpf(QA)) * (
+                mpmath.mpf(p_t) / mpmath.mpf(lc_band.bandwidth))
+            exact = lc_band.bandwidth * mpmath.log1p(snr) / mpmath.log(2)
+        upper = capacity_upper_bound(rx, lc_band, p_t)
+        assert abs(upper - exact) <= 4 * 2.0**-53 * exact
+
     def test_lower_bound_reference_values(self, lc_band):
         for rl, expected in ((5e4, 0.426), (5e6, 9.69)):
             grid = build_grid(lc_band, LC_MODEL, 512, 6)
@@ -282,7 +294,7 @@ class TestCapacityBounds:
         # the digits log2(1 + snr) reads; both bounds are their linear limits
         p_t, cfg = 1e-32, default_config()
         rx, band = cfg.receiver, cfg.band
-        grid = build_grid(band, cfg.channel, cfg.base_points, cfg.refine_levels)
+        grid = build_grid(band, cfg.channel, refine_levels=cfg.refine_levels)
         coupled = grid.sample.num_rt != 0
         r, w = ratio_alpha_beta(cfg.channel, rx, grid)[coupled], grid.weights[coupled]
         linear = p_t * float(np.sum(w * r)) / (band.bandwidth * math.log(2))

@@ -183,6 +183,39 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(lc_band, LC_MODEL, 8, 6)
 
+    @pytest.mark.parametrize("case", ["lc", "tline5", "tline600m"])
+    def test_reference_grids_keep_512_base_points(self, lc_band, tline_band, case):
+        # 1, 5 and 40 in-band poles: 8 base points per pole stay below the floor
+        # of 512, so every reference artifact keeps its grid node for node
+        if case == "lc":
+            model, band = LC_MODEL, lc_band
+        elif case == "tline5":
+            model, band = TLINE_MODEL, tline_band
+        else:
+            config = load_config(Path(__file__).parent / "tline_600m.json")
+            model, band = config.channel, config.band
+        grid, fixed = build_grid(band, model), build_grid(band, model, 512)
+        for got, expected in ((grid.nodes, fixed.nodes), (grid.weights, fixed.weights),
+                              (grid.pole_nodes, fixed.pole_nodes)):
+            np.testing.assert_array_equal(got, expected)
+
+    @settings(max_examples=10, deadline=None)
+    @given(spans=st.integers(1, 4999), phase=st.floats(0.0, 1.0, exclude_max=True),
+           taps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+    def test_no_pole_count_refused(self, tline_band, spans, phase, taps):
+        # the band spans `spans + phase` pole spacings, so 1 to 5,000 in-band poles:
+        # the grid that sizes itself is never refused at the default config
+        length = (spans + phase) * 3.0e8 / (2 * tline_band.bandwidth)
+        model = TLineShortedTapped(50.0, 3.0e8, length, *(t * length for t in taps))
+        grid = build_grid(tline_band, model)
+        assert spans <= len(grid.pole_nodes) <= spans + 1
+        config = default_config()
+        for rl in config.load_resistances:
+            rx = replace(config.receiver, load_resistance=rl)
+            lower = capacity_lower_bound(model, rx, tline_band, config.power_w, grid)
+            capacity = solve_for_power(model, rx, grid, config.power_w).capacity
+            assert 0 < lower < capacity < capacity_upper_bound(rx, tline_band, config.power_w)
+
     def test_refine_levels_limit(self, lc_band):
         # level 29 is the finest whose spacing h/2**29 stays above the
         # near-duplicate threshold h*1e-9
