@@ -74,6 +74,11 @@ class LcParallel:
     def reactances(self, omega) -> ReactanceSample:
         num = omega * self.inductance
         denom = 1.0 - self.inductance * self.capacitance * np.square(omega)
+        # scaled to |denom| <= 1, as on the lines, so that (R_L denom)^2 is finite
+        # wherever R_L^2 is, above sqrt(2) times the resonance too
+        scale = np.maximum(np.abs(denom), 1.0)
+        num /= scale
+        denom /= scale
         return ReactanceSample(num, num, denom)
 
     def poles(self, lo: float, hi: float) -> np.ndarray:

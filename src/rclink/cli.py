@@ -119,11 +119,11 @@ def cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tupl
 def cmd_sweep(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Capacity-vs-power cross-plot, terminated at the full-support point."""
     result = sweep(config.channel, config.receiver, grid)
-    rows = result.points + [result.termination]
     b = config.band.bandwidth
+    rows = [(p.mu, p.power, p.capacity, p.capacity / b, p.full_support)
+            for p in (*result.points, result.termination)]
     return [(out, _csv(["mu", "power_W", "capacity_bps", "spectral_eff", "full_support"],
-                       np.array([(p.mu, p.power, p.capacity, p.capacity / b,
-                                  float(np.all(p.support_mask))) for p in rows]).T))]
+                       np.array(rows, dtype=float).T))]
 
 
 def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _bits, _ratio, _sha
 __all__ = [
     "FrequencyGrid",
     "WaterfillSolution",
+    "SweepPoint",
     "SweepResult",
     "build_grid",
     "solve_for_mu",
@@ -55,12 +57,21 @@ class WaterfillSolution:
     power: float  # W
 
 
+class SweepPoint(NamedTuple):
+    """One row of the capacity-vs-power cross-plot."""
+
+    mu: float
+    power: float  # W
+    capacity: float  # bits/s
+    full_support: bool  # True when every node is powered
+
+
 @dataclass(frozen=True)
 class SweepResult:
     """Capacity-vs-power cross-plot plus the full-support termination point."""
 
-    points: list[WaterfillSolution]
-    termination: WaterfillSolution
+    points: list[SweepPoint]
+    termination: SweepPoint
 
 
 def build_grid(
@@ -136,8 +147,9 @@ def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGri
     return _ratio(f, rx), coupled, t
 
 
-def _solve(profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:
-    ratio, coupled, beta = profile
+def _level(profile, grid: FrequencyGrid, mu: float):
+    """The level step at mu: the support, x = s_it * beta (0 off the support), C and P."""
+    ratio, coupled, _ = profile
     support = coupled & (ratio > mu)
     # exact near the level, where log2(ratio/mu) and 1/mu - 1/ratio lose digits
     x = np.subtract(ratio, mu, out=np.zeros_like(ratio), where=support)
@@ -146,7 +158,13 @@ def _solve(profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:
     x /= x + 1
     x /= mu  # 1/mu - 1/ratio = s_it * beta, as alpha = ratio * beta
     power = float(np.sum(grid.weights * x))
-    np.divide(x, beta, out=x, where=support)
+    return support, x, capacity, power
+
+
+def _solve(profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:
+    """The level step at mu, and the density s_it = x / beta on its support."""
+    support, x, capacity, power = _level(profile, grid, mu)
+    np.divide(x, profile[2], out=x, where=support)
     return WaterfillSolution(mu, support, x, capacity, power)
 
 
@@ -237,18 +255,22 @@ def solve_for_power(
 def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> SweepResult:
     """The capacity-vs-power cross-plot: 50 logarithmically spaced multipliers,
     descending from just below the maximum of alpha/beta (the top node powered)
-    to its minimum, then the full-support endpoint.
+    to its minimum, then the full-support endpoint, one `SweepPoint` each.
 
     The endpoint is the largest multiplier that powers the whole band, the
     float below the minimum of alpha/beta over the coupled nodes
     (`solve_for_power`'s clamp).  Multipliers at or below it are dropped: on a
-    flat ratio profile (zero temperature) the range starts below it.  For
-    chosen multipliers, call `solve_for_mu` at each.
+    flat ratio profile (zero temperature) the range starts below it.  A row
+    keeps no grid-sized array; for a level's density, call `solve_for_mu` at
+    its multiplier.
     """
     ratio, coupled, _ = profile = _coupled_profile(model, rx, grid)
     r_min = float(np.min(ratio, where=coupled, initial=math.inf))
     r_max = float(np.max(ratio, where=coupled, initial=-math.inf))
     mu_full = float(np.nextafter(r_min, 0))
     mus = np.geomspace(r_max * (1 - 1e-9), r_min, 50)
-    points = [_solve(profile, grid, mu) for mu in mus.tolist() if mu > mu_full]
-    return SweepResult(points, _solve(profile, grid, mu_full))
+    rows = []
+    for mu in [*(mu for mu in mus.tolist() if mu > mu_full), mu_full]:
+        support, _, capacity, power = _level(profile, grid, mu)
+        rows.append(SweepPoint(mu, power, capacity, bool(np.all(support))))
+    return SweepResult(rows[:-1], rows[-1])

@@ -6,7 +6,8 @@ traced job per workload, cycle 0 of seed 1, catches a library change that
 would make every benchmark job fail.  A tline_scan job samples its channel
 once, in ``build_grid``; the solvers and the lower bound read the grid.
 A reproduce_cli job draws its transfer and ratio curves through the public
-functionals, one call per load resistance.  A verify_oracles job sums every
+functionals, one call per load resistance, and reads 51 rows from each of its
+two sweeps.  A verify_oracles job sums every
 term and sample its checks name, so a speedup cannot come from shortening the
 oracles.
 """
@@ -51,6 +52,17 @@ def test_reproduce_cli_curves_call_the_public_functionals(tmp_path):
     # three load resistances on each of the LC and the shorted-line configs
     assert tracer.counts["linkmodel.transfer_magnitude.calls"] == 6
     assert tracer.counts["linkmodel.ratio_alpha_beta.calls"] == 6
+
+
+def test_reproduce_cli_sweeps_read_their_points(tmp_path):
+    # perfbench counts len(sweep(...).points) + 1 rows per call: 50 points and
+    # the termination on each of the LC and the shorted-line grids
+    workload = workloads.WORKLOADS["reproduce_cli"](1, str(tmp_path))
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        workload.run(workload.cycle(0)[0])
+    assert tracer.counts["waterfill.sweep.calls"] == 2
+    assert tracer.counts["waterfill.sweep.points"] == 102
 
 
 def test_verify_oracles_keeps_every_term(tmp_path):

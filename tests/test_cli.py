@@ -7,9 +7,11 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,24 @@ class TestTransferCommand:
             peaks[rl] = data[peak_idx, 1]
         assert peaks["5e+06"] > peaks["50000"]
         assert peaks["50000"] == pytest.approx(5e4, rel=1e-9)
+
+    def test_lc_above_sqrt2_resonance_at_large_load(self, tmp_path):
+        # carrier 2.1 times the resonance, where |1 - LC omega^2| is 3.5, and
+        # R_L = 1.2e154, whose square is a float but (3.5 R_L)^2 is not
+        config = Path(__file__).parent / "lc_above_resonance.json"
+        out = tmp_path / "t.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["transfer", "--config", str(config), "--out", str(out)]) == 0
+        _, data = read_csv(tmp_path / "t_rl1.2e+154.csv")
+        lc, rl = load_config(config).channel, mpmath.mpf(1.2e154)
+        with mpmath.workdps(40):
+            for omega, transfer in data[:: len(data) // 64]:
+                x = mpmath.mpf(omega) * lc.inductance / (
+                    1 - mpmath.mpf(lc.inductance) * lc.capacitance * mpmath.mpf(omega) ** 2)
+                exact = rl * abs(x) / abs(mpmath.mpc(rl, x))  # R_L |Z_RT| / |Z_R + R_L|
+                assert abs(transfer - exact) <= 1e-14 * exact
+        assert data[0, 1] == pytest.approx(53.6, rel=1e-3)
 
     def test_empty_rl_list_is_config_error(self, tmp_path):
         path = write_config(tmp_path, {"analysis.load_resistances_ohm": []})

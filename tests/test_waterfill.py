@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -432,7 +433,9 @@ class TestSweep:
             lb = capacity_lower_bound(LC_MODEL, receiver, lc_band, p.power, lc_grid)
             ub = capacity_upper_bound(receiver, lc_band, p.power)
             assert lb <= p.capacity <= ub
-        assert np.all(result.termination.support_mask)
+        assert result.termination.full_support
+        assert np.all(solve_for_mu(LC_MODEL, receiver, lc_grid,
+                                   result.termination.mu).support_mask)
 
     def test_default_multipliers_span_the_ratio(self, lc_grid, receiver):
         r = ratio_alpha_beta(LC_MODEL, receiver, lc_grid.nodes)
@@ -441,7 +444,8 @@ class TestSweep:
         assert len(mus) == 50
         assert mus[0] == pytest.approx(r.max(), rel=1e-8) and mus[-1] == pytest.approx(r.min())
         assert result.points[0].power > 0
-        assert np.all(result.termination.support_mask)
+        assert result.termination.full_support
+        assert np.all(r > result.termination.mu)
 
     def test_near_level_points_exact(self, lc_grid, receiver):
         """The first multipliers sit within 1e-9 of the top ratio, where 1/mu - 1/r
@@ -450,9 +454,9 @@ class TestSweep:
         r = ratio_alpha_beta(LC_MODEL, receiver, lc_grid.nodes)
         w = lc_grid.weights
         for point in sweep(LC_MODEL, receiver, lc_grid).points[:6]:
-            assert np.any(point.support_mask)
+            support = np.flatnonzero(r > point.mu)  # the LC couples at every node
+            assert support.size
             mu = Fraction(point.mu)
-            support = np.flatnonzero(point.support_mask)
             x = [(Fraction(float(r[i])) - mu) / mu for i in support]
             power = sum(Fraction(float(w[i])) * xi / (1 + xi) for i, xi in zip(support, x)) / mu
             capacity = math.fsum(float(w[i]) * math.log1p(float(xi))
@@ -470,14 +474,26 @@ class TestSweep:
 
     @pytest.mark.parametrize("kind", ["lc", "shorted"])
     def test_points_are_solve_for_mu_at_their_levels(self, lc_grid, tline_grid, receiver, kind):
-        # one solver behind both: the sweep forms beta once for all its levels
+        # one level step behind both: a row is solve_for_mu's C, P and support at its level
         model, grid = (LC_MODEL, lc_grid) if kind == "lc" else (TLINE_MODEL, tline_grid)
         result = sweep(model, receiver, grid)
         for point in result.points + [result.termination]:
             sol = solve_for_mu(model, receiver, grid, point.mu)
-            assert (sol.mu, sol.capacity, sol.power) == (point.mu, point.capacity, point.power)
-            assert sol.s_it.tobytes() == point.s_it.tobytes()
-            np.testing.assert_array_equal(sol.support_mask, point.support_mask)
+            assert (sol.mu, sol.power, sol.capacity, bool(np.all(sol.support_mask))) == point
+
+    def test_rows_keep_no_grid_sized_array(self):
+        # 298,000 nodes: one float array of the grid is 2.4 MB
+        config = load_config(Path(__file__).parent / "tline_2000_poles.json")
+        grid = build_grid(config.band, config.channel, refine_levels=config.refine_levels)
+        tracemalloc.start()
+        try:
+            result = sweep(config.channel, config.receiver, grid)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 1e6
+        assert peak < 20e6
+        assert len(result.points) == 50 and result.termination.full_support
 
 
 class TestQuadratureOracle:
