@@ -12,6 +12,7 @@ from .channels import (
 from .config import RunConfig, default_config, load_config, parse_config, serialize_config
 from .linkmodel import (
     Band,
+    OutputPsd,
     ReceiverParams,
     alpha,
     beta,
@@ -23,6 +24,8 @@ from .linkmodel import (
 )
 from .waterfill import (
     FrequencyGrid,
+    SweepPoint,
+    SweepResult,
     WaterfillSolution,
     build_grid,
     solve_for_mu,

@@ -9,8 +9,8 @@ stay finite on the channel poles, and take a channel model, never a bare
 sample, at omega or on a `FrequencyGrid` built for it, whose reactances they
 read.  Each is a load share, f = num_r^2/load or t = num_rt^2/load with
 load = num_r^2 + (R_L denom)^2, times receiver constants, and none subtracts:
-alpha/beta = 1/(4kT f + 2Q_A/(g^2 R_L)) reads f alone, and only the readers of
-beta, the transfer and the output PSD form t.  The module holds the grid type,
+one profile forms alpha/beta = 1/(4kT f + 2Q_A/(g^2 R_L)) and beta = 2 R_L t,
+and the channel couples where beta > 0.  The module holds the grid type,
 the one trapezoid rule and the one capacity sum over grid nodes, all also used
 by `waterfill`.
 """
@@ -144,44 +144,43 @@ def _amp_floor(rx: ReceiverParams) -> float:
     return 2 * rx.amp_noise_density / (rx.amp_gain * rx.amp_gain * rx.load_resistance)
 
 
-def _shares(model, rx: ReceiverParams, omega, mutual: bool = False):
-    """(f, coupled, t) of `model` at omega or on its grid: the load shares f = num_r^2/load
-    and, only if `mutual`, t = num_rt^2/load (else None), load = num_r^2 + (R_L denom)^2,
-    both fresh, and where the mutual reactance is nonzero, so the channel couples."""
+def _shares(model, rx: ReceiverParams, omega):
+    """(f, t) of `model` at omega or on its grid: the load shares f = num_r^2/load and
+    t = num_rt^2/load, load = num_r^2 + (R_L denom)^2, both fresh."""
     s = _sample(model, omega)
     load = rx.load_resistance * s.denom
     load *= load
     f = np.square(s.num_r)
     load += f
     f /= load
-    t = None
-    if mutual:
-        t = np.square(s.num_rt)
-        t /= load
-    return f, s.num_rt != 0, t
+    t = np.square(s.num_rt)
+    t /= load
+    return f, t
 
 
-def _ratio(f, rx: ReceiverParams):
-    """alpha/beta = 1/(4kT f + 2Q_A/(g g R_L)), written over the Johnson share f."""
+def _profile(model, rx: ReceiverParams, omega):
+    """(alpha/beta, beta) = (1/(4kT f + 2Q_A/(g g R_L)), 2 R_L t) of `model` at omega or
+    on its grid, both fresh; the channel couples where beta > 0, not where it underflows."""
+    f, t = _shares(model, rx, omega)
     f *= 4 * BOLTZMANN * rx.temperature
     f += _amp_floor(rx)
-    return np.reciprocal(f, out=f if np.ndim(f) else None)
+    t *= 2 * rx.load_resistance
+    return np.reciprocal(f, out=f if np.ndim(f) else None), t
 
 
 def transfer_magnitude(model: ChannelModel, rx: ReceiverParams, omega):
     """|V_R / I_T| = R_L |Z_RT| / |Z_R + R_L| = R_L sqrt(t) in ohms, finite on poles."""
-    return rx.load_resistance * np.sqrt(_shares(model, rx, omega, mutual=True)[2])
+    return rx.load_resistance * np.sqrt(_shares(model, rx, omega)[1])
 
 
 def alpha(model: ChannelModel, rx: ReceiverParams, omega):
     """SNR per unit transmit-current spectral density, 1/(A^2 s), as ratio * beta."""
-    f, _, t = _shares(model, rx, omega, mutual=True)
-    return _ratio(f, rx) * (2 * rx.load_resistance * t)
+    return np.multiply(*_profile(model, rx, omega))
 
 
 def beta(model: ChannelModel, rx: ReceiverParams, omega):
     """Transmit power per unit transmit-current spectral density, 2 R_L t, in ohms."""
-    return 2 * rx.load_resistance * _shares(model, rx, omega, mutual=True)[2]
+    return _profile(model, rx, omega)[1]
 
 
 def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
@@ -193,14 +192,14 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
     of this quantity; a pole cancelled in Z_R, such as an even mode of a line
     whose receive tap sits at its middle, can be a local maximum.
     """
-    return _ratio(_shares(model, rx, omega)[0], rx)
+    return _profile(model, rx, omega)[0]
 
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
     """Amplifier-output spectral density for transmit density s_it (A^2/Hz)."""
     if not np.all((0 <= np.asarray(s_it)) & (np.asarray(s_it) < math.inf)):
         raise ValueError("s_it must be nonnegative and finite")
-    f, _, t = _shares(model, rx, omega, mutual=True)
+    f, t = _shares(model, rx, omega)
     ggr = rx.amp_gain * rx.amp_gain * rx.load_resistance
     t *= rx.load_resistance  # beta/2 first: g*g*R_L*R_L can overflow
     f *= 2 * BOLTZMANN * rx.temperature * ggr
@@ -248,9 +247,9 @@ def capacity_lower_bound(
     """Capacity of the flat-SNR (zero-temperature-optimal) transmit density.
 
     Integrates log1p(p_t * (alpha/beta)(omega) / B) / ln 2 over the coupled nodes
-    of `grid` (see waterfill.build_grid), from the reactances the grid carries;
-    a grid built for another channel or another band is refused, and a channel
-    coupling nowhere gives 0.
+    of `grid` (see waterfill.build_grid), those where beta > 0, from the
+    reactances the grid carries; a grid built for another channel or another
+    band is refused, and a channel coupling nowhere gives 0.
     With T=0 this reduces exactly to the upper bound.  Raises ValueError when
     every other node (the last one included) moves the result by over 1e-3.
     """
@@ -258,10 +257,10 @@ def capacity_lower_bound(
         raise ValueError("p_t must be nonnegative and finite")
     if band != grid.band:
         raise ValueError("grid was built for another band")
-    f, coupled, _ = _shares(model, rx, grid)
-    snr = _ratio(f, rx)
+    snr, b = _profile(model, rx, grid)
     snr *= p_t / band.bandwidth
-    np.copyto(snr, 0.0, where=~coupled)
+    np.copyto(snr, 0.0, where=~(b > 0))
+    del b
     result = _bits(grid.weights, snr)
     half = np.r_[0 : len(snr) - 1 : 2, len(snr) - 1]
     coarse = _bits(_trapezoid_weights(grid.nodes[half]), snr[half])

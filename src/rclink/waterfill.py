@@ -26,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import ChannelModel, eval_reactances, poles_in_interval
-from .linkmodel import (Band, FrequencyGrid, ReceiverParams, _bits, _ratio, _shares,
-                        _trapezoid_weights)
+from .linkmodel import Band, FrequencyGrid, ReceiverParams, _bits, _profile, _trapezoid_weights
 
 __all__ = [
     "FrequencyGrid",
@@ -137,14 +136,13 @@ def build_grid(
 
 
 def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid):
-    """alpha/beta, the coupled mask and beta = 2 R_L t on the grid, from one pair of
-    load shares, beta formed once for every level a caller solves at; refuses another
-    channel and one that couples at no node."""
-    f, coupled, t = _shares(model, rx, grid, mutual=True)
+    """alpha/beta, the coupled mask beta > 0 and beta on the grid, formed once per solver
+    call; refuses another channel and one that couples at no node."""
+    ratio, beta = _profile(model, rx, grid)
+    coupled = beta > 0
     if not np.any(coupled):
         raise ValueError("channel has no coupling anywhere in the band")
-    t *= 2 * rx.load_resistance
-    return _ratio(f, rx), coupled, t
+    return ratio, coupled, beta
 
 
 def _level(profile, grid: FrequencyGrid, mu: float):

@@ -7,6 +7,7 @@ import re
 import stat
 import subprocess
 import sys
+import typing
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -373,6 +374,25 @@ class TestSweepCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --mu 1e16" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def test_doubly_nulled_mode_gets_no_power(tmp_path):
+    """Both taps on the middle node of mode 12 at the carrier, R_L = 1e147: at the
+    carrier's pole node num_r and num_rt are roundoff, beta underflows to 0, and
+    the channel does not couple there."""
+    config = Path(__file__).parent / "tline_doubly_nulled.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("waterfill", "table1", "sweep"):
+            out = tmp_path / f"{command}.csv"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    _, (row,) = read_csv(tmp_path / "table1.csv")
+    assert row[0] == 1e147 and row[1] < row[2] < row[3]
+    _, data = read_csv(tmp_path / "waterfill.csv")
+    assert np.all(np.isfinite(data))
+    carrier = np.argmin(np.abs(data[:, 0] - load_config(config).band.carrier))
+    assert data[carrier, 1] == 0.0 and data[carrier, 2] == 0.0
+    assert np.count_nonzero(data[:, 2]) == len(data) - 1
 
 
 class TestLoadResistance:
@@ -966,6 +986,20 @@ class TestPackaging:
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         project = text.split("[project]\n", 1)[1].split("\n[", 1)[0]
         assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [rclink.__version__]
+
+    def test_exports_the_types_its_functions_return(self):
+        # every rclink class that an exported function returns, or that a field of
+        # one holds, is exported under its own name: `from rclink import SweepPoint`
+        def ours(hint):
+            return {t for t in (hint, *typing.get_args(hint))
+                    if isinstance(t, type) and t.__module__.startswith("rclink.")}
+
+        returned = set().union(*(ours(typing.get_type_hints(fn).get("return"))
+                                 for fn in vars(rclink).values() if inspect.isfunction(fn)))
+        held = set().union(*(ours(h) for t in returned for h in typing.get_type_hints(t).values()))
+        assert {rclink.SweepResult, rclink.SweepPoint, rclink.OutputPsd} <= returned | held
+        for t in returned | held:
+            assert getattr(rclink, t.__name__, None) is t, t.__name__
 
 
 class TestReproduceScript:

@@ -141,20 +141,29 @@ def large_links(draw):
     """A channel of each kind with a band it couples over, and a receiver at 300 K
     whose R_L and g are log-uniform in [1e4, 1e160] and [1, 1e160], across the
     refusals of an overflowing R_L^2 (1.3e154) and of g*g*R_L/(2*Q_A).  The LC
-    carrier reaches 30 times the resonance, where |1 - LC omega^2| is about 900."""
-    kind = draw(st.sampled_from(["lc", "open", "shorted"]))
+    carrier reaches 30 times the resonance, where |1 - LC omega^2| is about 900.
+    A "nulled" shorted line has both taps on nodes j*L/m of its mode m at the
+    carrier, so at the carrier's pole node num_r and num_rt are roundoff, and
+    its R_L is drawn from [1e100, 1e160], where beta there can underflow."""
+    kind = draw(st.sampled_from(["lc", "open", "shorted", "nulled"]))
+    rl_lo = 4.0
     if kind == "lc":
         model = LcParallel(draw(st.floats(1e-9, 1e-8)), draw(st.floats(1e-13, 1e-12)))
         carrier = model.resonance * draw(st.floats(0.9, 30.0))
     else:
         z0, length = draw(st.floats(1.0, 500.0)), draw(st.floats(10.0, 100.0))
+        carrier = 2 * math.pi * draw(st.floats(1e8, 3e9))
         if kind == "open":
             model = TLineOpenEnds(z0, 3e8, length)
-        else:
+        elif kind == "shorted":
             model = TLineShortedTapped(z0, 3e8, length, *(draw(st.floats(0.05, 0.95)) * length
                                                            for _ in range(2)))
-        carrier = 2 * math.pi * draw(st.floats(1e8, 3e9))
-    rl, gain = (10.0 ** draw(st.floats(lo, 160.0)) for lo in (4.0, 0.0))
+        else:
+            m = draw(st.integers(4, 600))
+            taps = (draw(st.integers(1, m - 1)) * length / m for _ in range(2))
+            model = TLineShortedTapped(z0, 3e8, length, *taps)
+            carrier, rl_lo = m * math.pi * 3e8 / length, 100.0
+    rl, gain = 10.0 ** draw(st.floats(rl_lo, 160.0)), 10.0 ** draw(st.floats(0.0, 160.0))
     return model, Band(carrier, 1e7), rl, gain
 
 
@@ -163,6 +172,9 @@ class TestLargeReceivers:
     @given(case=large_links())
     # 2.1 times the resonance, where (R_L denom)^2 would overflow unscaled
     @example(case=(LC_MODEL, Band(4.0e10, 1e7), 1.2e154, 100.0))
+    # both taps on the node of mode 12 at the carrier, where beta underflows to 0
+    @example(case=(TLineShortedTapped(1.0, 3e8, 18.0, 9.0, 9.0), Band(628318530.7179586, 1e7),
+                   1e147, 1.0))
     def test_accepted_receiver_is_finite_and_ratio_exact(self, case):
         # the suite fails on any numpy warning, so no overflow is met on the way
         model, band, rl, gain = case
@@ -194,6 +206,7 @@ class TestLargeReceivers:
             ratio = ratio_alpha_beta(model, rx, grid)
             for v in (ratio, *values):
                 assert np.isfinite(v).all()
+            assert np.all(sol.s_it[values[1] == 0] == 0)  # no power where beta is 0
             # against 40 digits from the same sample, at the pole nodes and 64 others:
             # ten roundings, each within u = 2**-53, bound the relative error by 10u
             # to first order (5 to 10 ulps; the worst seen is 5.05 ulps)
