@@ -102,9 +102,21 @@ def _curve(header: list[str], column):
     return fn
 
 
+def _solve_budget(config: RunConfig, rx: ReceiverParams, grid: FrequencyGrid):
+    """`solve_for_power` at the configured budget.  Refuses a solution whose power
+    misses the budget by over 1e-6 relative, as one near or below the solver's
+    resolution floor does."""
+    p_t = config.power_w
+    sol = solve_for_power(config.channel, rx, grid, p_t)
+    if abs(sol.power - p_t) > 1e-6 * p_t:
+        raise ValueError(f"power budget {p_t:g} W is below the solver's resolution: "
+                         f"the solution carries {sol.power!r} W")
+    return sol
+
+
 def cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Optimal transmit spectral density at the configured power budget."""
-    sol = solve_for_power(config.channel, config.receiver, grid, config.power_w)
+    sol = _solve_budget(config, config.receiver, grid)
     summary = {
         "mu": sol.mu,
         "power_W": sol.power,
@@ -134,7 +146,7 @@ def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[s
     for rl, rx in _receivers(config):
         lower = capacity_lower_bound(model, rx, band, p_t, grid) / b
         upper = capacity_upper_bound(rx, band, p_t) / b
-        se = solve_for_power(model, rx, grid, p_t).capacity / b
+        se = _solve_budget(config, rx, grid).capacity / b
         rows.append((rl, lower, se, upper))
     return [(out, _csv(["load_resistance_ohm", "lower_bound_bs_hz", "spectral_efficiency_bs_hz",
                         "upper_bound_bs_hz"],

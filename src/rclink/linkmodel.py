@@ -196,7 +196,8 @@ def ratio_alpha_beta(model: ChannelModel, rx: ReceiverParams, omega):
 
 
 def output_psd(model: ChannelModel, rx: ReceiverParams, omega, s_it) -> OutputPsd:
-    """Amplifier-output spectral density for transmit density s_it (A^2/Hz)."""
+    """Amplifier-output spectral density for transmit density s_it (A^2/Hz); refuses a
+    negative, NaN or infinite density."""
     if not np.all((0 <= np.asarray(s_it)) & (np.asarray(s_it) < math.inf)):
         raise ValueError("s_it must be nonnegative and finite")
     f, t = _shares(model, rx, omega)

@@ -148,7 +148,12 @@ def _record(name: str, worst, gate: float, what: str = "max rel err"):
 
 def oracle_checks():
     """Bounce series and impulse integral vs each channel's `reactances`; yields
-    (name, ok, detail)."""
+    (name, ok, detail) for five checks: the open line's series at its two ends
+    against i*Z_R and i*Z_RT; the shorted line's at the receive tap against
+    i*Z_RT, and, driven at the receive tap, i*Z_R; the shorted line's null voltage
+    at either shorted end; the LC impulse integral against i*Z_RT; and central
+    differences of the real-axis Z_RT in the receive-tap position against
+    d2V/dx2 + k^2 V = 0."""
     rng = np.random.default_rng(0)
     draws = np.arange(20) % 2  # 0, 1, 0, ...: the end or the source each draw checks
 

@@ -82,28 +82,31 @@ def build_grid(
     """Uniform base grid with nested halving refinement around the poles in and near the band.
 
     Without `base_points` the grid sizes itself: max(512, 8 * in-band poles) base
-    points, counted in its one pole query.
+    points, counted in its one pole query, so the LC, the 5-pole reference line and
+    a 40-pole line keep 512 while 2,000 in-band poles get 16,000.
     Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to every
-    pole within 10h of the band, h the base spacing, keeping the nodes in the band.
+    pole within 10h of the band, h the base spacing, keeping the nodes in the band:
+    a pole just outside the band gets the same window, clipped to the band.
     The band edges are nodes, and every in-band pole is one: it is snapped onto its
     nearest interior node, at any level, unless it lies within h*1e-9 of an edge,
-    where it sits on that edge node.  Levels past 29, whose nodes would merge as
-    near-duplicates, are refused, as is a grid on which two in-band poles would snap
-    to one node.  The channel is evaluated once, at the final nodes.
+    where it sits on that edge node.  Nodes closer than h*1e-9 merge, so levels past
+    29 are refused, as are fewer than 16 base points and a grid on which two in-band
+    poles would snap to one node.  The work is near-linear in the in-band poles, and
+    the channel is evaluated once, at the final nodes.
     """
     if base_points is not None and base_points < 16:
         raise ValueError("base_points must be at least 16")
     if not 0 <= refine_levels <= _MAX_REFINE_LEVELS:
         raise ValueError(f"refine_levels must be in [0, {_MAX_REFINE_LEVELS}]")
     lo, hi = band.lo, band.hi
-    h = (hi - lo) / ((base_points or DEFAULT_BASE_POINTS) - 1)
-    # a pole just outside the band reaches into it with its log singularity
+    # a pole just outside the band reaches into it with its log singularity; the
+    # query spans the window of the coarser grid, this one's or the 512-point one's,
+    # and a pole beyond 10h of the band adds no node, as no offset reaches past 10h
+    h = (hi - lo) / (min(base_points or DEFAULT_BASE_POINTS, DEFAULT_BASE_POINTS) - 1)
     centres = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
     poles = centres[(centres >= lo) & (centres <= hi)]
-    if base_points is None:  # the query spanned the widest window, the 512-point grid's
-        base_points = max(DEFAULT_BASE_POINTS, _POINTS_PER_POLE * len(poles))
-        h = (hi - lo) / (base_points - 1)
-        centres = centres[(centres >= lo - 10 * h) & (centres <= hi + 10 * h)]
+    base_points = base_points or max(DEFAULT_BASE_POINTS, _POINTS_PER_POLE * len(poles))
+    h = (hi - lo) / (base_points - 1)
     # doubling is exact, so level l's even-k offsets repeat level l-1's bit for
     # bit: 41 + 20*(levels-1) distinct offsets, and no duplicate node to sort
     offsets = np.unique((h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21))
@@ -260,7 +263,8 @@ def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> Sweep
     (`solve_for_power`'s clamp).  Multipliers at or below it are dropped: on a
     flat ratio profile (zero temperature) the range starts below it.  A row
     keeps no grid-sized array; for a level's density, call `solve_for_mu` at
-    its multiplier.
+    its multiplier.  The rows and the solvers share one level step (`_level`), so a
+    row's capacity and power are `solve_for_mu`'s to the bit.
     """
     ratio, coupled, _ = profile = _coupled_profile(model, rx, grid)
     r_min = float(np.min(ratio, where=coupled, initial=math.inf))

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import pkgutil
 import re
 import stat
 import subprocess
@@ -395,6 +396,22 @@ def test_doubly_nulled_mode_gets_no_power(tmp_path):
     assert np.count_nonzero(data[:, 2]) == len(data) - 1
 
 
+@pytest.mark.parametrize("config, command", [
+    ("tline_600m.json", "table1"),
+    ("tline_600m.json", "waterfill"),
+    ("tline_600m.json", "sweep"),
+    ("tline_2000_poles.json", "sweep"),  # 298,000 nodes
+])
+def test_line_configs_run(tmp_path, config, command):
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", str(Path(__file__).parent / config), "--out", str(out)]) == 0
+    _, data = read_csv(out)
+    assert len(data) and np.isfinite(data).all()
+    if command == "table1":
+        _, lower, se, upper = data.T
+        assert np.all((lower < se) & (se < upper))
+
+
 class TestLoadResistance:
     """`waterfill` and `sweep` read receiver.load_resistance_ohm; `transfer`, `ratio`
     and `table1` read analysis.load_resistances_ohm and ignore the receiver's."""
@@ -669,11 +686,18 @@ class TestErrorHandling:
     SQUARE_RL = "load_resistance must have a finite square, got 1e+200"
     CEILING = "the SNR ceiling g*g*R_L/(2*Q_A) and g*g*R_L must be finite, got amp_gain="
     COARSE = "frequency grid too coarse for the lower-bound integral"
+    UNRESOLVED = "W is below the solver's resolution: the solution carries 4.23"
     TLINE_600M = json.loads((Path(__file__).parent / "tline_600m.json").read_text())
     # a dict in argv stands for a config file: the default one with those overrides
     BAD_INPUTS = {
         "power-zero": (["waterfill", "--power", "0"], POSITIVE_POWER),
         "power-negative": (["waterfill", "--power", "-1"], POSITIVE_POWER),
+        # budgets below the solver's resolution: its solution carries 4.23e-33 W,
+        # and the SE was printed above its own upper bound
+        "table1-power-unresolved": (["table1", "--power", "1e-40"],
+                                    f"config error: power budget 1e-40 {UNRESOLVED}"),
+        "waterfill-power-unresolved": (["waterfill", "--power", "1e-60"],
+                                       f"config error: power budget 1e-60 {UNRESOLVED}"),
         "base-points-zero": (["waterfill", "--config", {"grid.base_points": 0}], NO_BASE_POINTS),
         "base-points-8": (["waterfill", "--config", {"grid.base_points": 8}], NO_BASE_POINTS),
         "refine-negative": (["waterfill", "--config", {"grid.refine_levels": -1}], REFINE_RANGE),
@@ -969,6 +993,16 @@ class TestReadme:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme)) - {"--no-build-isolation"}
         assert named <= {"--config", "--out", *_FLAGS}
+
+    def test_names_no_private_attribute(self):
+        # the design of private helpers lives in their docstrings; a key suffix
+        # such as `_hz` is no attribute
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        modules = [importlib.import_module(f"rclink.{m.name}")
+                   for m in pkgutil.iter_modules(rclink.__path__)]
+        private = {name for m in modules for name in vars(m)
+                   if name.startswith("_") and not name.startswith("__")}
+        assert set(re.findall(r"(?<!\w)_\w+", readme)) & private == set()
 
     def test_library_example_runs(self, capsys):
         readme = (Path(__file__).parents[1] / "README.md").read_text()

@@ -761,16 +761,19 @@ class TestRefinementOffsets:
     @given(
         poles=st.floats(0.5, 120.0),
         taps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
-        points_per_pole=st.sampled_from([8, 12, 32]),
+        points_per_pole=st.sampled_from([8, 12, 32, None]),
         levels=st.integers(0, 8),
     )
     def test_distinct_offsets_give_the_same_nodes(self, tline_band, poles, taps,
                                                  points_per_pole, levels):
-        # doubling is exact, so level l's even-k offsets are level l-1's
+        # doubling is exact, so level l's even-k offsets are level l-1's; a grid
+        # that sizes itself (None) queries the 512-point grid's wider pole window
         length = poles * 3.0e8 / (2 * tline_band.bandwidth)
         model = TLineShortedTapped(50.0, 3.0e8, length, taps[0] * length, taps[1] * length)
-        base_points = max(16, round(points_per_pole * poles))
+        base_points = points_per_pole and max(16, round(points_per_pole * poles))
         grid = build_grid(tline_band, model, base_points, levels)
+        in_band = len(poles_in_interval(model, tline_band.lo, tline_band.hi))
+        base_points = base_points or max(512, 8 * in_band)
         expected = grid_nodes_by_full_broadcast(tline_band, model, base_points, levels)
         assert grid.nodes.tobytes() == expected.tobytes()
         h = (tline_band.hi - tline_band.lo) / (base_points - 1)
