@@ -7,21 +7,23 @@ region of convergence checks each channel's own `reactances`, the code the
 solvers run, continued off the real axis, without discretizing delta
 functions.  Each series is its first terms times the train sum_{m<n} q^m,
 never summed through the geometric closed form (1 - q^n)/(1 - q), which would
-tie the oracle to the closed form it checks.  With m = b*j + k and b about
-sqrt(n), the exponent law makes each q^m a product of two table entries, and
-the distributive law makes the train the product of two table sums (`_train`):
-O(sqrt(n)) time and memory, not O(n).  The LC channel, whose impulse response
-is delta-free, gets a direct time-integral check instead, its trapezoid sum
-formed from two trains.  `oracle_checks` runs every comparison at fixed
-geometries, with one `reactances` call per geometry, and yields one
-(name, ok, detail) record per check, with `ok` a plain bool; `rclink verify`
-prints them.
+tie the oracle to the closed form it checks.  Over the binary digits of n,
+the exponent law makes each q^m a product of factors q^(2^l), and the
+distributive law makes the train a sum of one block per set bit of n, each
+block a product of factors 1 + q^(2^l) (`_train`): O(log n) time and O(1)
+memory, not O(n), with every q^(2^l) taken from its own exact exponent.  The
+LC channel, whose impulse response is delta-free, gets a direct time-integral
+check instead, its trapezoid sum formed from two trains.  `oracle_checks` runs
+every comparison at fixed geometries, with one `reactances` call per geometry,
+and yields one (name, ok, detail) record per check, with `ok` a plain bool;
+`rclink verify` prints them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import replace
 
 import numpy as np
@@ -50,16 +52,34 @@ def _require_series_args(model, omega: complex, x: float, terms: int):
 
 
 def _train(phase: complex, n: int) -> complex:
-    """sum_{m<n} exp(-1j*phase*m) as (sum_{j<J} A_j)(sum_{k<b} B_k) + A_J sum_{k<R} B_k.
+    """sum_{m<n} exp(-1j*phase*m) over the binary digits of n, lowest first.
 
-    With b = isqrt(n - 1) + 1, m = b*j + k and n = b*J + R, the tables A_j =
-    exp(-1j*phase*b*j) and B_k = exp(-1j*phase*k) hold about sqrt(n) entries each.
+    With q_l = exp(-1j*phase*2^l), the full-block sum S_l = sum_{r<2^l} q^r grows
+    as S_{l+1} = S_l*(1 + q_l).  Each set bit l adds the terms m = s + r, r < 2^l,
+    as shift*S_l, where s counts the terms already summed and shift = q^s, and then
+    multiplies shift by q_l.  Each q_l comes from its own exponent, a power-of-two
+    multiple of -1j*phase and so exact, never by repeated squaring: O(log n) time
+    and O(1) memory.  Near q_l = -1, where 1 + Re(q_l) cancels, the real part of
+    1 + q_l is taken as -expm1(x) + 2*exp(x)*cos(y/2)^2 with x + iy the exponent,
+    two terms >= 0 for Im(phase) <= 0, so every factor keeps its relative accuracy.
     """
-    b = math.isqrt(n - 1) + 1
-    rows, rest = divmod(n, b)
-    a = np.exp(-1j * phase * (b * np.arange(rows + 1)))
-    k = np.exp(-1j * phase * np.arange(b))
-    return complex(a[:rows].sum() * k.sum() + a[rows] * k[:rest].sum())
+    n = operator.index(n)
+    exponent = -1j * phase
+    total, shift, block = 0j, 1 + 0j, 1 + 0j
+    for bit in range(n.bit_length()):
+        q = cmath.exp(exponent)
+        if q == 0:  # so is every later q_l: block is final, shift 0 after one more bit
+            return total + shift * block
+        if n >> bit & 1:
+            total += shift * block
+            shift *= q
+        factor = 1 + q
+        if factor.real < 1 / 64:
+            x, c = exponent.real, math.cos(exponent.imag / 2)
+            factor = complex(2 * math.exp(x) * c * c - math.expm1(x), q.imag)
+        block *= factor
+        exponent *= 2
+    return total
 
 
 def open_line_series_vi(
@@ -119,8 +139,9 @@ def lc_transfer_from_impulse(
     tail to be negligible, and dt fine relative to the resonance period.  The
     integrand cos(w0*t)/C * exp(-i*omega*t) = (exp(-i*(omega-w0)*t) + exp(-i*(omega+w0)*t))
     / (2C) at the n + 1 nodes t_k = k*horizon/n, n = ceil(horizon/dt), is two trains,
-    each summed by `_train` in O(sqrt(n)) time and memory, never through the geometric
-    closed form, less half its first and last terms (the trapezoid end weights).
+    each summed by `_train` in O(log n) time and O(1) memory, never through the
+    geometric closed form, less half its first and last terms (the trapezoid end
+    weights).
     """
     _require_lower_half(omega)
     if not (0 < horizon < math.inf and 0 < dt < math.inf):

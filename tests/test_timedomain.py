@@ -83,29 +83,89 @@ class TestAgainstReferenceLoop:
 
 
 EPS = np.finfo(float).eps
-# train lengths that land on and just past a full table square, besides any
+
+
+def train_bound(phase, n):
+    """First-order bound on |_train(phase, n) - exact|, plus the error of a
+    reference whose term m is within 2*(1 + |phase|*m)*eps of its value.
+
+    In units of eps: each q_l is within 1.5 of its value (its exponent is exact;
+    exp, cos or sin and their product round by 1/2 each).  The k-th of the P set
+    bits of n, counted from k = 0 at the lowest, bit l, adds 2^l terms shift*q^r,
+    each a product of at most k + l of the q_j, formed through l roundings of
+    1 + q_j (1/2 each), k + max(l - 1, 0) rounded complex products (sqrt(5)/2 < 1.12
+    each; the first product into shift and into S is by an exact 1), and P - max(k, 1)
+    rounded additions into the total (1/2 each; the first is onto an exact 0).  Where
+    1 + Re(q_j) < 1/64 its real part comes from expm1 and cos instead, within
+    5*|1 + q_j| <= 0.9 of 1 + q_j (|1 + q_j| <= sqrt(2/64) there), inside the same
+    allowance.
+    """
+    m = np.arange(n)
+    weight = 2 * (1 + abs(phase) * m)
+    bits = [l for l in range(n.bit_length()) if n >> l & 1]
+    for k, l in enumerate(bits):
+        start = n % 2**l
+        weight[start:start + 2**l] += (1.5 * (k + l) + 1.12 * (k + max(l - 1, 0))
+                                       + 0.5 * (l + len(bits) - max(k, 1)))
+    return EPS * math.fsum(weight * np.exp(phase.imag * m))
+
+
+# train lengths of one set bit, of every bit set, of the two end bits set, of a
+# square and of any shape
 N_TERMS = st.one_of(
     st.sampled_from([1, 2]),
+    st.integers(1, 16).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1])),
     st.integers(1, 223).flatmap(lambda r: st.sampled_from([r * r, r * r + 1])),
     st.integers(1, 50_000),
 )
 PHASES = st.builds(complex, st.floats(-50.0, 50.0), st.floats(-1e-2, 0.0))
 
 
+@st.composite
+def oracle_trains(draw):
+    """(phase, n) as the oracles sum them: 2*omega*L/c0 with Re in [0, 40] on the
+    lines, (omega +- w0)*step within 0.02 of 0 for the LC, and n terms with a
+    decay |q|^n = exp(Im(phase)*n) of at most e^-20.  The LC check refuses less
+    (horizon*|Im(omega)| >= 20), the shorted line decays by e^-80 and the open line
+    by e^-64.  With less decay an undamped train can cancel to far below its
+    terms, and its error is bounded in absolute terms by `train_bound` instead."""
+    n = draw(st.one_of(st.sampled_from([64, 40_000, 250_001]), st.integers(1, 10**5)))
+    damping = draw(st.floats(20 / n, max(1.0, 20 / n)))
+    return complex(draw(st.floats(-0.02, 40.0)), -damping), n
+
+
 class TestTrain:
     @settings(max_examples=200, deadline=None)
     @given(phase=PHASES, n=N_TERMS)
     def test_matches_direct_exponentials(self, phase, n):
-        m = np.arange(n)
-        direct = np.exp(-1j * phase * m)
+        # each direct term is within (2 + |phase|*m/2)*eps: its exponent phase*m
+        # rounds, then exp, then the fsum of the magnitudes
+        direct = np.exp(-1j * phase * np.arange(n))
         expected = complex(math.fsum(direct.real), math.fsum(direct.imag))
-        # each table product A_j*B_k is within 8*eps*(1 + |phase|*m) of its direct
-        # term; the two sums of at most b terms, their product, the remainder row
-        # and the fsum each round by at most (b - 1)*eps, (b - 1)*eps, 2*eps, eps
-        # and eps of the sum of the term magnitudes
-        b = math.isqrt(n - 1) + 1
-        bound = EPS * math.fsum((8 * (1 + abs(phase) * m) + 2 * (b + 1)) * np.abs(direct))
-        assert abs(_train(phase, n) - expected) <= bound
+        assert abs(_train(phase, n) - expected) <= train_bound(phase, n)
+
+    @settings(deadline=None)
+    @example(train=(complex(12.8, -2e-3), 40_000))  # the shorted-line check's damping
+    @example(train=(complex(0.02, -1e-4), 250_001))  # the LC check near resonance
+    @example(train=(complex(math.pi, -1e-8), 64))  # 1 + q_0 near 0
+    @given(train=oracle_trains())
+    def test_matches_50_digit_sum(self, train):
+        phase, n = train
+        # the finite sum is expm1(n*z)/expm1(z) with z = -1j*phase, free of the
+        # cancellation in 1 - q near q = 1
+        with mpmath.workdps(50):
+            z = -1j * mpmath.mpc(phase)
+            exact = complex(mpmath.expm1(n * z) / mpmath.expm1(z))
+        assert abs(_train(phase, n) - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("n", [10**40, 2**1100], ids=["1e40", "2^1100"])
+    def test_damped_long_train_has_converged(self, n):
+        # at the shorted-line check's damping |q|^40000 = e^-80: a 10^40-term train,
+        # in at most 133 binary steps, has converged to the 40,000-term one; past
+        # 2^1024 terms the exponent would overflow, but q_l has long underflowed to 0
+        phase = complex(12.8, -2e-3)
+        converged = _train(phase, 40_000)
+        assert abs(_train(phase, n) - converged) <= 1e-13 * abs(converged)
 
     @given(phase=PHASES)
     def test_single_term_is_exactly_one(self, phase):
@@ -263,7 +323,7 @@ class TestShortedLineSeries:
 
     def test_long_train_in_bounded_memory(self):
         # at a check frequency |q|^40000 = e^-80, so both trains have converged;
-        # 10^10 terms take two tables of 10^5 entries, not a 160 GB term array
+        # 10^10 terms take at most 34 binary steps in O(1) memory, not a 160 GB term array
         omega = complex(6.4 * C0_OVER_L, -1e-3 * C0_OVER_L)
         x = 0.55 * TLINE_MODEL.length
         converged = shorted_line_series_v(TLINE_MODEL, omega, x, 40000)
@@ -274,7 +334,7 @@ class TestShortedLineSeries:
         finally:
             tracemalloc.stop()
         assert abs(v - converged) <= 1e-9 * abs(converged)
-        assert peak <= 32 * 2**20
+        assert peak <= 2**20
 
     def test_matches_rational_mutual_reactance(self):
         rng = np.random.default_rng(6)
@@ -381,30 +441,30 @@ class TestLcTransfer:
     @settings(deadline=None)
     @example(case=(W0 * complex(1, -0.01), 2500 / W0, 0.01 / W0))
     @example(case=(complex(0, -W0), 25 / W0, 0.01 / W0))
-    # off by 1.29e-12 relative, past a flat 1e-12 bound: the table phases carry
-    # roundoff of about eps*|w*step|*m
+    # 35,333 steps at |phase| = 0.0475: the rounded phase (omega +- w0)*step, off by
+    # about |phase|*m*eps in term m, leaves 5.2e-14 relative
     @example(case=(complex(0.04750051642944412, -224416907), 8.912430142608736e-08,
                    2.5224518532967423e-12))
     @given(case=lc_integrals())
     def test_matches_linspace_trapezoid(self, case):
         """The trapezoid sum on the n + 1 linspace nodes, each train q^m, m <= n,
-        summed exactly by its geometric closed form, within `TestTrain`'s
-        rounding model summed over both trains."""
+        summed exactly by its geometric closed form, within `train_bound` summed
+        over both trains: its reference allowance covers the rounded phase
+        (omega +- w0)*step, within 1.5*|phase|*m*eps in term m, the end weights
+        and the scaling."""
         omega, horizon, dt = case
         n = math.ceil(horizon / dt)
-        step, m, b = horizon / n, np.arange(n + 1), math.isqrt(n) + 1
+        step = horizon / n
         expected, bound = mpmath.mpc(0), 0.0
         with mpmath.workdps(40):
             for sign in (-1, 1):
                 w = mpmath.mpc(omega) + sign * mpmath.mpf(self.W0)
                 q = mpmath.exp(-1j * w * mpmath.mpf(horizon) / n)
                 expected += (1 - q ** (n + 1)) / (1 - q) - (1 + q**n) / 2
-                phase = (omega + sign * self.W0) * step
-                bound += math.fsum((8 * (1 + abs(phase) * m) + 2 * (b + 1))
-                                   * np.exp(phase.imag * m))
+                bound += train_bound((omega + sign * self.W0) * step, n + 1)
             expected = complex(expected * mpmath.mpf(horizon) / n
                                / (2 * mpmath.mpf(LC_MODEL.capacitance)))
-        bound *= EPS * step / (2 * LC_MODEL.capacitance)
+        bound *= step / (2 * LC_MODEL.capacitance)
         assert abs(lc_transfer_from_impulse(LC_MODEL, omega, horizon, dt) - expected) <= bound
 
     def test_rejects_coarse_dt(self):
