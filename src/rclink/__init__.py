@@ -1,36 +1,14 @@
-"""Shannon capacity of SISO links through lossless two-port networks."""
+"""Shannon capacity of SISO links through lossless two-port networks.
 
-from .channels import (
-    ChannelModel,
-    LcParallel,
-    ReactanceSample,
-    TLineOpenEnds,
-    TLineShortedTapped,
-    eval_reactances,
-    poles_in_interval,
-)
-from .config import RunConfig, default_config, load_config, parse_config, serialize_config
-from .linkmodel import (
-    Band,
-    OutputPsd,
-    ReceiverParams,
-    alpha,
-    beta,
-    capacity_lower_bound,
-    capacity_upper_bound,
-    output_psd,
-    ratio_alpha_beta,
-    transfer_magnitude,
-)
-from .waterfill import (
-    FrequencyGrid,
-    SweepPoint,
-    SweepResult,
-    WaterfillSolution,
-    build_grid,
-    solve_for_mu,
-    solve_for_power,
-    sweep,
-)
+The package exports the `__all__` of its layers `channels`, `config`,
+`linkmodel` and `waterfill`, and each of those lists is the one record of
+its layer's API: a function or class is public exactly when its name has no
+leading underscore, and the `__all__` of the module that defines it lists it.
+"""
+
+from .channels import *
+from .config import *
+from .linkmodel import *
+from .waterfill import *
 
 __version__ = "0.1.0"

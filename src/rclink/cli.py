@@ -30,13 +30,14 @@ import numpy as np
 from . import timedomain
 from .config import DEFAULT_CONFIG, ConfigError, RunConfig, load_document, parse_config
 from .linkmodel import (
+    FrequencyGrid,
     ReceiverParams,
     capacity_lower_bound,
     capacity_upper_bound,
     ratio_alpha_beta,
     transfer_magnitude,
 )
-from .waterfill import FrequencyGrid, build_grid, solve_for_power, sweep
+from .waterfill import build_grid, solve_for_power, sweep
 
 __all__ = ["main"]
 
@@ -114,7 +115,7 @@ def _solve_budget(config: RunConfig, rx: ReceiverParams, grid: FrequencyGrid):
     return sol
 
 
-def cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
+def _cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Optimal transmit spectral density at the configured power budget."""
     sol = _solve_budget(config, config.receiver, grid)
     summary = {
@@ -128,7 +129,7 @@ def cmd_waterfill(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tupl
             (os.path.splitext(out)[0] + "_summary.json", json.dumps(summary, indent=2) + "\n")]
 
 
-def cmd_sweep(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
+def _cmd_sweep(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Capacity-vs-power cross-plot, terminated at the full-support point."""
     result = sweep(config.channel, config.receiver, grid)
     b = config.band.bandwidth
@@ -138,7 +139,7 @@ def cmd_sweep(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[st
                        np.array(rows, dtype=float).T))]
 
 
-def cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
+def _cmd_table1(config: RunConfig, grid: FrequencyGrid, out: str) -> list[tuple[str, str]]:
     """Spectral efficiency and its bounds per load resistance of the configured setup."""
     model, band, p_t = config.channel, config.band, config.power_w
     b = band.bandwidth
@@ -162,10 +163,10 @@ _COMMANDS = {
               _curve(["omega_rad_s", "ratio"],
                      lambda model, rx, grid: ratio_alpha_beta(model, rx, grid))),
     "waterfill": ("optimal transmit spectral density at a power budget", ("--power",),
-                  cmd_waterfill),
-    "sweep": ("capacity vs power cross-plot, ending at full support", (), cmd_sweep),
+                  _cmd_waterfill),
+    "sweep": ("capacity vs power cross-plot, ending at full support", (), _cmd_sweep),
     "table1": ("spectral efficiencies and bounds per load resistance", ("--rl", "--power"),
-               cmd_table1),
+               _cmd_table1),
 }
 
 # flag -> the (section, key) of the config value that it overrides, and its help
@@ -175,7 +176,7 @@ _FLAGS = {
 }
 
 
-def cmd_verify() -> int:
+def _cmd_verify() -> int:
     """Print the physics oracle checks; nonzero exit on any failure."""
     status = 0
     for name, ok, detail in timedomain.oracle_checks():
@@ -228,7 +229,7 @@ def _document(args) -> dict:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
-        return cmd_verify()
+        return _cmd_verify()
     try:
         if not os.path.basename(args.out):  # else a file would be named from "" alone
             raise ConfigError(f"--out must name a file, got {args.out!r}")

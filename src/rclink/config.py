@@ -24,7 +24,7 @@ from .linkmodel import Band, ReceiverParams
 from .waterfill import DEFAULT_REFINE_LEVELS
 
 __all__ = ["RunConfig", "ConfigError", "load_document", "parse_config", "serialize_config",
-           "default_config"]
+           "default_config", "load_config"]
 
 # reference defaults: ~3 GHz carrier, 10 MHz band, 300 K, 40 dB gain,
 # amplifier noise referenced to 50 ohm with 9 dB excess.  The carrier sits

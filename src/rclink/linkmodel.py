@@ -29,6 +29,7 @@ __all__ = [
     "ReceiverParams",
     "Band",
     "OutputPsd",
+    "FrequencyGrid",
     "transfer_magnitude",
     "alpha",
     "beta",

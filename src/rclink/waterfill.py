@@ -29,7 +29,6 @@ from .channels import ChannelModel, eval_reactances, poles_in_interval
 from .linkmodel import Band, FrequencyGrid, ReceiverParams, _bits, _profile, _trapezoid_weights
 
 __all__ = [
-    "FrequencyGrid",
     "WaterfillSolution",
     "SweepPoint",
     "SweepResult",

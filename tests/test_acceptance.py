@@ -28,7 +28,8 @@ from rclink.timedomain import lc_transfer_from_impulse, open_line_series_vi, sho
 from rclink import TLineOpenEnds, TLineShortedTapped
 from rclink.linkmodel import BOLTZMANN
 
-from conftest import LC_MODEL, POWER_W, QA, TLINE_MODEL, impedances, make_receiver
+from conftest import (BASE_POINTS, LC_MODEL, POWER_W, QA, REFINE, TLINE_MODEL, impedances,
+                      make_receiver)
 from oracles import lc_lower_bound_continuous, lc_quadratics, riemann_capacity_power
 
 TABLE1 = [
@@ -36,18 +37,6 @@ TABLE1 = [
     (5e5, 3.58, 3.67, 21.0),
     (5e6, 9.69, 9.70, 24.3),
 ]
-BASE_POINTS = 512
-REFINE = 6
-
-
-@pytest.fixture(scope="module")
-def lc_grid(lc_band):
-    return build_grid(lc_band, LC_MODEL, BASE_POINTS, REFINE)
-
-
-@pytest.fixture(scope="module")
-def tline_grid(tline_band):
-    return build_grid(tline_band, TLINE_MODEL, BASE_POINTS, REFINE)
 
 
 def test_criterion_01_table1_upper_bounds(lc_band):

@@ -1035,6 +1035,28 @@ class TestPackaging:
         for t in returned | held:
             assert getattr(rclink, t.__name__, None) is t, t.__name__
 
+    def test_public_names_have_one_home(self):
+        # a function or class is public exactly when its name has no leading
+        # underscore and the `__all__` of the module defining it lists it; the
+        # package exports its layers' lists, its submodules and nothing else
+        modules = {m.name: importlib.import_module(f"rclink.{m.name}")
+                   for m in pkgutil.iter_modules(rclink.__path__)}
+        unlisted, unresolved = set(), set()
+        for mod in modules.values():
+            listed = getattr(mod, "__all__", [])
+            unlisted |= {f"{mod.__name__}.{name}" for name, obj in vars(mod).items()
+                         if (inspect.isfunction(obj) or inspect.isclass(obj))
+                         and obj.__module__ == mod.__name__
+                         and not name.startswith("_") and name not in listed}
+            unresolved |= {f"{mod.__name__}.{name}" for name in listed if not hasattr(mod, name)}
+        assert unlisted == set()
+        assert unresolved == set()
+        layers = [name for m in ("channels", "config", "linkmodel", "waterfill")
+                  for name in modules[m].__all__]
+        assert len(layers) == len(set(layers))
+        submodules = {name for name in modules if not name.startswith("_")}
+        assert {name for name in vars(rclink) if not name.startswith("_")} == {*layers, *submodules}
+
 
 class TestReproduceScript:
     SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_results.py"

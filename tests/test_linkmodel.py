@@ -310,7 +310,7 @@ class TestCapacityBounds:
         p_t, cfg = 1e-32, default_config()
         rx, band = cfg.receiver, cfg.band
         grid = build_grid(band, cfg.channel, refine_levels=cfg.refine_levels)
-        coupled = grid.sample.num_rt != 0
+        coupled = beta(cfg.channel, rx, grid) > 0
         r, w = ratio_alpha_beta(cfg.channel, rx, grid)[coupled], grid.weights[coupled]
         linear = p_t * float(np.sum(w * r)) / (band.bandwidth * math.log(2))
         lb = capacity_lower_bound(cfg.channel, rx, band, p_t, grid)

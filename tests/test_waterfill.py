@@ -38,16 +38,6 @@ from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
 from oracles import grid_nodes_by_full_broadcast, riemann_capacity_power, water_level_by_loop
 
 
-@pytest.fixture(scope="module")
-def lc_grid(lc_band):
-    return build_grid(lc_band, LC_MODEL, 512, 6)
-
-
-@pytest.fixture(scope="module")
-def tline_grid(tline_band):
-    return build_grid(tline_band, TLINE_MODEL, 512, 6)
-
-
 class TestBuildGrid:
     def test_lc_band_has_one_pole_node(self, lc_grid):
         assert len(lc_grid.pole_nodes) == 1
@@ -469,7 +459,7 @@ class TestSweep:
                                                           kind):
         # the float below the smallest coupled ratio, as solve_for_power clamps
         model, grid = (LC_MODEL, lc_grid) if kind == "lc" else (TLINE_MODEL, tline_grid)
-        r = ratio_alpha_beta(model, receiver, grid)[grid.sample.num_rt != 0]
+        r = ratio_alpha_beta(model, receiver, grid)[beta(model, receiver, grid) > 0]
         assert sweep(model, receiver, grid).termination.mu == np.nextafter(r.min(), 0)
 
     @pytest.mark.parametrize("kind", ["lc", "shorted"])
@@ -551,7 +541,7 @@ class TestRandomShortedLines:
         p_t = power_scale * POWER_W
         sol = solve_for_power(model, rx, grid, p_t)
         r = ratio_alpha_beta(model, rx, grid.nodes)
-        valid = eval_reactances(model, grid.nodes).num_rt != 0
+        valid = beta(model, rx, grid.nodes) > 0
         assert np.all(r[sol.support_mask] > sol.mu)
         assert np.all(r[valid & ~sol.support_mask] <= sol.mu)
         assert np.all(sol.s_it[~sol.support_mask] == 0) and np.all(sol.s_it[sol.support_mask] > 0)
@@ -653,7 +643,7 @@ def assert_breakpoints_exact(model, rx, grid):
     and the capacity of solve_for_mu(r_j).  Along the breakpoints C rises and is
     concave, its chord slopes bracketed by the levels, as dC/dP = mu*log2(e)."""
     ratio = ratio_alpha_beta(model, rx, grid.nodes)
-    coupled = eval_reactances(model, grid.nodes).num_rt != 0
+    coupled = beta(model, rx, grid.nodes) > 0
     r = np.unique(ratio[coupled])[::-1]
     levels, caps, powers = [], [], []
     for r_j in r[np.unique(np.linspace(1, len(r) - 1, 12).astype(int))]:
