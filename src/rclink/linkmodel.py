@@ -234,9 +234,12 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def _bits(w: np.ndarray, x: np.ndarray) -> float:
-    """sum(w * log2(1 + x)): bits/s for weights w in Hz, the one capacity sum over grid nodes."""
-    return float(np.sum(np.log1p(x) * w)) / math.log(2)
+def _bits(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
+    """sum(w * log2(1 + x)) over the last axis: bits/s per row of x for weights w in Hz, the
+    one capacity sum over grid nodes.  log1p(x) is written into `out` when one is given."""
+    out = np.log1p(x, out=out)
+    out *= w
+    return np.sum(out, axis=-1) / math.log(2)
 
 
 def capacity_lower_bound(
@@ -263,9 +266,9 @@ def capacity_lower_bound(
     snr *= p_t / band.bandwidth
     np.copyto(snr, 0.0, where=~(b > 0))
     del b
-    result = _bits(grid.weights, snr)
+    result = float(_bits(grid.weights, snr))
     half = np.r_[0 : len(snr) - 1 : 2, len(snr) - 1]
-    coarse = _bits(_trapezoid_weights(grid.nodes[half]), snr[half])
+    coarse = float(_bits(_trapezoid_weights(grid.nodes[half]), snr[half]))
     if result != 0 and abs(result - coarse) > 1e-3 * abs(result):
         raise ValueError(
             "frequency grid too coarse for the lower-bound integral "

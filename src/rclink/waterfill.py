@@ -11,6 +11,16 @@ formed on the whole grid with zeros off the support, like the lower bound, so
 side sees are local minima of alpha/beta, so the optimal allocation avoids
 those resonances.
 
+Every level step is a block step, `_levels`: `sweep` steps its levels in
+blocks of max(1, _BLOCK // n) rows on n nodes, and the solvers step a 1-row
+block.  Its grid-sized floats go into two work arrays allocated once per
+solver call, not once per level, and owned by that call, never by the module
+or the grid, so the solvers stay safe to call concurrently.  Each row is
+reduced on its own along the contiguous grid axis, by the pairwise sum numpy
+gives a 1-D array, so a sweep row is `solve_for_mu` at its level to the bit.
+`_BLOCK` is a constant, chosen from sweeps timed at block sizes of 1 to
+32,768 values on 633 to 298,000 nodes.
+
 A grid is built for one channel and carries that channel's receive-side
 reactances at its nodes, evaluated once.  Every solver profiles them through
 `_coupled_profile`, which refuses a model other than the grid's channel and
@@ -42,6 +52,7 @@ DEFAULT_BASE_POINTS = 512  # the fewest base points a grid sized by its poles ge
 _POINTS_PER_POLE = 8
 DEFAULT_REFINE_LEVELS = 6
 _MAX_REFINE_LEVELS = 29  # h/2**30 is under the near-duplicate spacing h*1e-9
+_BLOCK = 8192  # grid values per level-step block, 64 kB a work array (see `sweep`)
 
 
 @dataclass(frozen=True)
@@ -147,25 +158,37 @@ def _coupled_profile(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGri
     return ratio, coupled, beta
 
 
-def _level(profile, grid: FrequencyGrid, mu: float):
-    """The level step at mu: the support, x = s_it * beta (0 off the support), C and P."""
+def _levels(profile, grid: FrequencyGrid, mus: np.ndarray, x: np.ndarray, tmp: np.ndarray):
+    """The level step at a column of k multipliers, `mus` of shape (k, 1): the (k, n)
+    support, x = s_it * beta per row (0 off the support), and C and P per row.
+
+    Every grid-sized float goes into the work arrays `x` and `tmp`, both (k, n)
+    and C-contiguous, which `tmp` leaves holding weights * x.  The solver call
+    that allocates them reuses them for all its blocks, and no other call sees
+    them.  A row is reduced on its own along the contiguous grid axis, by the
+    pairwise sum numpy gives a 1-D array, and every other op is elementwise,
+    so each row's C and P are those of a 1-row block at its multiplier, to the bit.
+    """
     ratio, coupled, _ = profile
-    support = coupled & (ratio > mu)
+    support = ratio > mus
+    support &= coupled
+    x.fill(0.0)
     # exact near the level, where log2(ratio/mu) and 1/mu - 1/ratio lose digits
-    x = np.subtract(ratio, mu, out=np.zeros_like(ratio), where=support)
-    x /= mu
-    capacity = _bits(grid.weights, x)  # log2(ratio / mu) = log2(1 + x)
-    x /= x + 1
-    x /= mu  # 1/mu - 1/ratio = s_it * beta, as alpha = ratio * beta
-    power = float(np.sum(grid.weights * x))
-    return support, x, capacity, power
+    np.subtract(ratio, mus, out=x, where=support)
+    x /= mus
+    capacity = _bits(grid.weights, x, out=tmp)  # log2(ratio / mu) = log2(1 + x)
+    x /= np.add(x, 1, out=tmp)
+    x /= mus  # 1/mu - 1/ratio = s_it * beta, as alpha = ratio * beta
+    power = np.sum(np.multiply(grid.weights, x, out=tmp), axis=-1)
+    return support, capacity, power
 
 
 def _solve(profile, grid: FrequencyGrid, mu: float) -> WaterfillSolution:
-    """The level step at mu, and the density s_it = x / beta on its support."""
-    support, x, capacity, power = _level(profile, grid, mu)
+    """The level step at mu as a 1-row block, and the density s_it = x / beta on its support."""
+    x = np.empty((1, len(grid.nodes)))
+    support, capacity, power = _levels(profile, grid, np.array([[mu]]), x, np.empty_like(x))
     np.divide(x, profile[2], out=x, where=support)
-    return WaterfillSolution(mu, support, x, capacity, power)
+    return WaterfillSolution(mu, support[0], x[0], float(capacity[0]), float(power[0]))
 
 
 def solve_for_mu(
@@ -262,16 +285,34 @@ def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> Sweep
     (`solve_for_power`'s clamp).  Multipliers at or below it are dropped: on a
     flat ratio profile (zero temperature) the range starts below it.  A row
     keeps no grid-sized array; for a level's density, call `solve_for_mu` at
-    its multiplier.  The rows and the solvers share one level step (`_level`), so a
-    row's capacity and power are `solve_for_mu`'s to the bit.
+    its multiplier.
+
+    The levels are stepped in blocks of max(1, _BLOCK // n) rows on n nodes, as
+    `_levels` steps, over two (rows, n) work arrays that this call allocates and
+    reuses: a block costs a few numpy calls whatever its rows, and no level
+    faults in a fresh grid-sized array.  `_BLOCK`, 8,192 values, was the fastest
+    size timed on the 633- and 1,197-node reference grids: one row per block
+    took 2.8 times as long on the LC, and blocks past glibc's 128 kB mmap
+    threshold fault their work arrays in anew on every call.  The rows and the
+    solvers share that one level step, a solver as a 1-row block, and each row
+    is summed on its own, so a row's capacity and power are `solve_for_mu`'s to
+    the bit.
     """
     ratio, coupled, _ = profile = _coupled_profile(model, rx, grid)
     r_min = float(np.min(ratio, where=coupled, initial=math.inf))
     r_max = float(np.max(ratio, where=coupled, initial=-math.inf))
     mu_full = float(np.nextafter(r_min, 0))
     mus = np.geomspace(r_max * (1 - 1e-9), r_min, 50)
-    rows = []
-    for mu in [*(mu for mu in mus.tolist() if mu > mu_full), mu_full]:
-        support, _, capacity, power = _level(profile, grid, mu)
-        rows.append(SweepPoint(mu, power, capacity, bool(np.all(support))))
-    return SweepResult(rows[:-1], rows[-1])
+    levels = [*(mu for mu in mus.tolist() if mu > mu_full), mu_full]
+    rows = max(1, _BLOCK // len(ratio))
+    x = np.empty((min(rows, len(levels)), len(ratio)))
+    tmp = np.empty_like(x)
+    points = []
+    for i in range(0, len(levels), rows):
+        block = levels[i:i + rows]
+        k = len(block)
+        support, capacity, power = _levels(profile, grid, np.array(block)[:, None], x[:k],
+                                           tmp[:k])
+        points += map(SweepPoint, block, power.tolist(), capacity.tolist(),
+                      support.all(axis=-1).tolist())
+    return SweepResult(points[:-1], points[-1])

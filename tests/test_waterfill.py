@@ -462,17 +462,27 @@ class TestSweep:
         r = ratio_alpha_beta(model, receiver, grid)[beta(model, receiver, grid) > 0]
         assert sweep(model, receiver, grid).termination.mu == np.nextafter(r.min(), 0)
 
-    @pytest.mark.parametrize("kind", ["lc", "shorted"])
+    @pytest.mark.parametrize("kind", ["lc", "shorted", "600m"])
     def test_points_are_solve_for_mu_at_their_levels(self, lc_grid, tline_grid, receiver, kind):
-        # one level step behind both: a row is solve_for_mu's C, P and support at its level
-        model, grid = (LC_MODEL, lc_grid) if kind == "lc" else (TLINE_MODEL, tline_grid)
+        # one level step behind both: a row is solve_for_mu's C, P and support at its
+        # level.  The sweep steps its 51 levels in blocks of 8192 // n rows: 12 on the
+        # LC's 633 nodes and 6 on the line's 1,197, each ending in a 3-row block, and
+        # one level per block on the 600 m line's 6,071 nodes
+        if kind == "600m":
+            config = load_config(Path(__file__).parent / "tline_600m.json")
+            model, receiver = config.channel, config.receiver
+            grid = build_grid(config.band, model, refine_levels=config.refine_levels)
+        else:
+            model, grid = (LC_MODEL, lc_grid) if kind == "lc" else (TLINE_MODEL, tline_grid)
         result = sweep(model, receiver, grid)
         for point in result.points + [result.termination]:
             sol = solve_for_mu(model, receiver, grid, point.mu)
             assert (sol.mu, sol.power, sol.capacity, bool(np.all(sol.support_mask))) == point
 
     def test_rows_keep_no_grid_sized_array(self):
-        # 298,000 nodes: one float array of the grid is 2.4 MB
+        # 298,000 nodes: one float array of the grid is 2.4 MB.  The profile's ratio and
+        # beta and the sweep's two work arrays are four of them; a fresh one per level
+        # would make a fifth
         config = load_config(Path(__file__).parent / "tline_2000_poles.json")
         grid = build_grid(config.band, config.channel, refine_levels=config.refine_levels)
         tracemalloc.start()
@@ -482,7 +492,7 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert kept < 1e6
-        assert peak < 20e6
+        assert peak < 5 * grid.nodes.nbytes
         assert len(result.points) == 50 and result.termination.full_support
 
 
