@@ -255,7 +255,10 @@ def capacity_lower_bound(
     of `grid` (see waterfill.build_grid), those where beta > 0, from the
     reactances the grid carries; a grid built for another channel or another
     band is refused, and a channel coupling nowhere gives 0.
-    With T=0 this reduces exactly to the upper bound.  Raises ValueError when
+    With T=0 this reduces exactly to the upper bound.  On one grid it is at most C up to
+    roundoff: its s_it * beta = p_t/B on the coupled nodes spends p_t * (coupled weight)/B
+    <= p_t, so water-filling on the same nodes does at least as well (where the flat
+    density is optimal, the two agree to a few ulps either way).  Raises ValueError when
     every other node (the last one included) moves the result by over 1e-3.
     """
     if not 0 <= p_t < math.inf:

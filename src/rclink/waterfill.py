@@ -30,6 +30,7 @@ a channel that couples at no node.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,13 +98,18 @@ def build_grid(
     Level l = 1..refine_levels adds the 41 offsets k*h/2**l, |k| <= 20, to every
     pole within 10h of the band, h the base spacing, keeping the nodes in the band:
     a pole just outside the band gets the same window, clipped to the band.
-    The band edges are nodes, and every in-band pole is one: it is snapped onto its
-    nearest interior node, at any level, unless it lies within h*1e-9 of an edge,
-    where it sits on that edge node.  Nodes closer than h*1e-9 merge, so levels past
-    29 are refused, as are fewer than 16 base points and a grid on which two in-band
-    poles would snap to one node.  The work is near-linear in the in-band poles, and
-    the channel is evaluated once, at the final nodes.
+    The in-band poles join the base nodes and offsets before the one sort, so each is a node
+    at every level.  Nodes under h*1e-9 apart merge into the first of their run, which a pole
+    in the run then takes, and the band edges are written last: a pole within h*1e-9 of an
+    edge sits on that edge node.  Levels past 29, under the merge spacing, are refused, as
+    are fewer than 16 base points and non-integer counts (bools too).  The work is
+    near-linear in the in-band poles, and the channel is evaluated once, at the final nodes.
     """
+    for name, n in (("base_points", base_points), ("refine_levels", refine_levels)):
+        if name == "base_points" and n is None:
+            continue  # the grid sizes itself
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
     if base_points is not None and base_points < 16:
         raise ValueError("base_points must be at least 16")
     if not 0 <= refine_levels <= _MAX_REFINE_LEVELS:
@@ -122,23 +128,13 @@ def build_grid(
     offsets = np.unique((h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21))
     extra = (centres[:, None] + offsets).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
-    nodes = np.concatenate([np.linspace(lo, hi, base_points), extra])
+    nodes = np.concatenate([np.linspace(lo, hi, base_points), poles, extra])
     nodes.sort()
     del extra, offsets
-    # drop near-duplicates, exact ones included, that would produce tiny weights,
-    # then snap the nearest surviving interior node onto each pole exactly (the
-    # lower one on a tie); the edges stay nodes, so a pole within h*1e-9 of one
-    # sits on that edge node
-    tol = h * 1e-9
-    nodes = nodes[np.r_[True, np.diff(nodes) > tol]]
-    last = len(nodes) - 1
-    right = np.clip(np.searchsorted(nodes, poles), 1, last)
-    nearest = np.clip(right - (poles - nodes[right - 1] <= nodes[right] - poles), 1, last - 1)
-    pole_idx = np.where(poles - lo <= tol, 0, np.where(hi - poles <= tol, last, nearest))
-    if np.any(np.diff(pole_idx) == 0):
-        raise ValueError(f"{len(poles) - len(np.unique(pole_idx))} of {len(poles)} in-band "
-                         "poles would share a node with another; raise refine_levels, or pass "
-                         "build_grid more base_points")
+    # drop near-duplicates, exact ones included, that would produce tiny weights;
+    # each pole moves the node kept for its run onto itself exactly
+    nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
+    pole_idx = np.searchsorted(nodes, poles, "right") - 1
     nodes[pole_idx] = poles
     nodes[0], nodes[-1] = lo, hi
     weights = _trapezoid_weights(nodes)

@@ -90,10 +90,12 @@ def water_level_by_loop(ratio, weights, p_t):
 
 
 def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
-    """waterfill.build_grid's nodes from every refinement offset k*h/2**l, |k| <= 20,
-    around every pole within 10h of the band, duplicates included, merged by one
-    np.unique; then the same near-duplicate drop, snap of the in-band poles onto
-    their nearest interior nodes and band edges written last."""
+    """waterfill.build_grid's nodes from the base nodes, the in-band poles and every
+    refinement offset k*h/2**l, |k| <= 20, around every pole within 10h of the band,
+    duplicates included, merged by one np.unique; then the same near-duplicate drop,
+    each in-band pole written onto its nearest interior node, and band edges written
+    last.  With the poles inserted, the nearest node is the one build_grid keeps for
+    the pole's run."""
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
     centres = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
@@ -101,7 +103,7 @@ def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     offsets = (h / 2.0 ** np.arange(1, refine_levels + 1))[:, None] * np.arange(-20, 21)
     extra = (centres[:, None] + offsets.ravel()).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
-    nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), extra]))
+    nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), poles, extra]))
     tol = h * 1e-9
     nodes = nodes[np.r_[True, np.diff(nodes) > tol]]
     # each pole onto its nearest interior node, the lower one on a tie (argmin

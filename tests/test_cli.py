@@ -515,12 +515,18 @@ class TestTable1Command:
         assert flag.read_bytes() == file.read_bytes() != default.read_bytes()
 
     def test_unrefined_grid_accepted(self, tmp_path):
-        # the 512 base nodes alone resolve the lower bound once its
-        # every-other-node check keeps the last node of an even-sized grid
-        config, out = write_config(tmp_path, {"grid.refine_levels": 0}), tmp_path / "t.csv"
-        assert main(["table1", "--config", str(config), "--out", str(out)]) == 0
-        _, lower, se, upper = read_csv(out)[1].T
-        assert np.all((lower < se) & (se < upper))
+        # the 512 base nodes alone resolve the lower bound, with the resonance as
+        # one more node (513, odd) or, in a band above it, none (512, even): the
+        # every-other-node check keeps the last node of either
+        above = {"carrier_rad_s": 4.0e10, "bandwidth_hz": 1.0e7}
+        for band, count in (({}, 513), ({"band": above}, 512)):
+            config = write_config(tmp_path, {"grid.refine_levels": 0, **band})
+            out = tmp_path / "t.csv"
+            parsed = load_config(config)
+            assert len(build_grid(parsed.band, parsed.channel, None, 0).nodes) == count
+            assert main(["table1", "--config", str(config), "--out", str(out)]) == 0
+            _, lower, se, upper = read_csv(out)[1].T
+            assert np.all((lower < se) & (se < upper))
 
     @pytest.mark.parametrize("poles", [500, 2000, 8000])
     def test_long_line_runs_at_the_default_grid(self, tmp_path, poles):
@@ -710,9 +716,10 @@ class TestErrorHandling:
         "config-base-points-8": (["transfer", "--config", {"grid.base_points": 8}],
                                  NO_BASE_POINTS),
         # the 600 m line's 40 poles on 512 base points, with too little refinement
+        # (unrefined, the 40 poles are nodes of their own between the base nodes)
         "table1-600m-unrefined": (["table1", "--config", {
             **TLINE_600M, "grid": {"refine_levels": 0}}], f"{COARSE} (refinement changes "
-                                  "result by 3.60e-03)"),
+                                  "result by 1.49e-02)"),
         "table1-600m-one-level": (["table1", "--config", {
             **TLINE_600M, "grid": {"refine_levels": 1}}], f"{COARSE} (refinement changes "
                                   "result by 4.61e-03)"),

@@ -88,22 +88,21 @@ class TestBuildGrid:
         else:
             assert grid.pole_nodes.tolist() == pole_nodes
 
-    def test_poles_sharing_a_node_refused(self, tline_band):
-        # 40 in-band poles of a 600 m line, 16 base nodes and no refinement:
-        # the poles snap onto 16 nodes
+    def test_every_pole_is_its_own_node(self, tline_band):
+        # 40 in-band poles of a 600 m line, the lowest on band.lo: inserted into the
+        # grid, each is a node at any base-point count and level.  16 and 40 base
+        # points with no refinement gain a node per pole off the base nodes (5 and
+        # 1 poles are on them); 41 base points hold every pole, and one level of
+        # refinement puts each at the centre of its window
         length = 600.0
         model = TLineShortedTapped(50.0, 3.0e8, length, length / 7, 8 * length / 13)
         poles = poles_in_interval(model, tline_band.lo, tline_band.hi)
         assert len(poles) == 40
-        with pytest.raises(ValueError, match="^25 of 40 in-band poles would share a node"):
-            build_grid(tline_band, model, 16, 0)
-        with pytest.raises(ValueError, match="^1 of 40 in-band poles"):
-            build_grid(tline_band, model, 40, 0)
-        # one node per pole, or refinement, makes every pole its own node
         top = math.pi * model.wave_speed / model.length * 12020
-        for base_points, levels in ((41, 0), (16, 1)):
+        for base_points, levels, count in ((16, 0, 51), (40, 0, 79), (41, 0, 41), (16, 1, 121)):
             grid = build_grid(tline_band, model, base_points, levels)
-            assert len(np.unique(grid.pole_nodes)) == 40
+            assert len(grid.nodes) == count
+            assert np.all(np.diff(grid.nodes) > 0) and np.all(np.diff(grid.pole_nodes) > 0)
             np.testing.assert_array_equal(grid.nodes[grid.pole_nodes], poles)
             # the top pole, 12020*pi*c0/L, is an ulp above the rounded band.hi:
             # it is not in the band, and the last node is band.hi
@@ -128,7 +127,7 @@ class TestBuildGrid:
 
     def test_unrefined_pole_by_an_edge_is_a_node(self):
         # pole 1000 of the reference line 0.3h above band.lo, nearer the edge node
-        # than any other: with no refinement it snaps onto node 1, not the edge
+        # than any other: with no refinement it is node 1, not merged into the edge
         step = math.pi * TLINE_MODEL.wave_speed / TLINE_MODEL.length
         bandwidth = 3.2e7
         h = 2 * math.pi * bandwidth / 63
@@ -159,7 +158,7 @@ class TestBuildGrid:
 
     def test_pole_an_ulp_inside_an_edge_sits_on_the_edge_node(self, tline_band):
         # pole 5000 of this line is one ulp above band.lo: the near-duplicate
-        # filter drops it or the edge node, and the snap must not move the edge
+        # filter drops it or the edge node, and writing the pole must not move the edge
         length = 250.41736227045072
         model = TLineShortedTapped(50.0, 3.0e8, length, length / 7, 8 * length / 13)
         poles = poles_in_interval(model, tline_band.lo, tline_band.hi)
@@ -171,8 +170,13 @@ class TestBuildGrid:
         assert abs(math.fsum(grid.weights) / tline_band.bandwidth - 1) <= 1e-12
 
     def test_base_points_floor(self, lc_band):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="base_points must be at least 16"):
             build_grid(lc_band, LC_MODEL, 8, 6)
+        # a count is an integer, never a bool or a float, even an integral one
+        for base_points in (512.0, True, 16.5):
+            with pytest.raises(ValueError, match="^base_points must be an integer"):
+                build_grid(lc_band, LC_MODEL, base_points, 6)
+        assert len(build_grid(lc_band, LC_MODEL, np.int64(512), 6).nodes) == 633
 
     @pytest.mark.parametrize("case", ["lc", "tline5", "tline600m"])
     def test_reference_grids_keep_512_base_points(self, lc_band, tline_band, case):
@@ -193,13 +197,16 @@ class TestBuildGrid:
     @settings(max_examples=10, deadline=None)
     @given(spans=st.integers(1, 4999), phase=st.floats(0.0, 1.0, exclude_max=True),
            taps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)))
+    @example(spans=1, phase=math.nextafter(1.0, 0.0), taps=(0.3, 0.7))
     def test_no_pole_count_refused(self, tline_band, spans, phase, taps):
         # the band spans `spans + phase` pole spacings, so 1 to 5,000 in-band poles:
-        # the grid that sizes itself is never refused at the default config
+        # the grid that sizes itself is never refused at the default config.  A
+        # phase just under 1 rounds the span up to spans + 1, and for an odd `spans`
+        # that band has a pole on each edge, spans + 2 in all (the example)
         length = (spans + phase) * 3.0e8 / (2 * tline_band.bandwidth)
         model = TLineShortedTapped(50.0, 3.0e8, length, *(t * length for t in taps))
         grid = build_grid(tline_band, model)
-        assert spans <= len(grid.pole_nodes) <= spans + 1
+        assert spans <= len(grid.pole_nodes) <= math.floor(spans + phase) + 1
         config = default_config()
         for rl in config.load_resistances:
             rx = replace(config.receiver, load_resistance=rl)
@@ -215,6 +222,11 @@ class TestBuildGrid:
         for levels in (-1, 30, 2000):
             with pytest.raises(ValueError, match="refine_levels"):
                 build_grid(lc_band, LC_MODEL, 512, levels)
+        # 6.5 built a 7-level grid (653 nodes) and True a 1-level one
+        for levels in (6.5, 6.0, True, False, None):
+            with pytest.raises(ValueError, match="^refine_levels must be an integer"):
+                build_grid(lc_band, LC_MODEL, 512, levels)
+        assert len(build_grid(lc_band, LC_MODEL, 512, np.int64(6)).nodes) == 633
 
     def test_grid_convergence_at_reference_points(self, lc_band):
         for rl in (5e4, 5e6):
@@ -777,6 +789,11 @@ class TestRefinementOffsets:
         expected = grid_nodes_by_full_broadcast(tline_band, model, base_points, levels)
         assert grid.nodes.tobytes() == expected.tobytes()
         h = (tline_band.hi - tline_band.lo) / (base_points - 1)
+        # every pole is its own node, but one within h*1e-9 of an edge, on that edge
+        poles = poles_in_interval(model, tline_band.lo, tline_band.hi)
+        inside = (poles - tline_band.lo > h * 1e-9) & (tline_band.hi - poles > h * 1e-9)
+        assert np.all(np.diff(grid.pole_nodes) > 0)
+        np.testing.assert_array_equal(grid.nodes[grid.pole_nodes[inside]], poles[inside])
         table = (h / 2.0 ** np.arange(1, levels + 1))[:, None] * np.arange(-20, 21)
         assert len(np.unique(table)) == (41 + 20 * (levels - 1) if levels else 0)
 
