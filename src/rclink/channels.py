@@ -52,6 +52,12 @@ class ReactanceSample:
     denom: np.ndarray | float  # dimensionless
 
 
+def _field(buf: np.ndarray):
+    """A buffer as a sample field: the numpy scalar a 0-d buffer holds, as at a scalar omega
+    every field is one."""
+    return buf if buf.ndim else buf[()]
+
+
 @dataclass(frozen=True)
 class LcParallel:
     """Parallel inductor-capacitor two-port (both ports across the tank)."""
@@ -116,14 +122,16 @@ class TLineOpenEnds(_Line):
     keys: ClassVar[tuple[str, ...]] = ("char_impedance_ohm", "wave_speed_m_s", "length_m")
 
     def reactances(self, omega) -> ReactanceSample:
-        kl = omega * self.length / self.wave_speed
         z0 = self.char_impedance
         # entries of the open-line matrix carry a -1/sin(kL) prefactor;
-        # the -1 is folded into the numerators
-        denom = np.sin(kl)
-        num_diag = -z0 * np.cos(kl)
-        num_off = -z0 * np.ones_like(denom)
-        return ReactanceSample(num_diag, num_off, denom)
+        # the -1 is folded into the numerators.  The phase kL and then its
+        # cosine go into one buffer, as on the shorted line
+        ph = np.asarray(omega * self.length)
+        ph /= self.wave_speed
+        denom = np.sin(ph)
+        np.cos(ph, out=ph)
+        ph *= -z0
+        return ReactanceSample(_field(ph), _field(np.full_like(ph, -z0)), denom)
 
 
 @dataclass(frozen=True)
@@ -148,17 +156,26 @@ class TLineShortedTapped(_Line):
     def reactances(self, omega) -> ReactanceSample:
         k = omega / self.wave_speed
         a, b = sorted((self.x_transmit, self.x_receive))
+        z0, length = self.char_impedance, self.length
         # product form z0 sin(k p) sin(k (L - q)) for taps p <= q: exactly 0 for
-        # a tap on a shorted end, and exactly symmetric in the two taps
-        num_rt = self.char_impedance * np.sin(k * a)
-        sb = np.sin(k * (self.length - b))
+        # a tap on a shorted end, and exactly symmetric in the two taps.  Each
+        # phase k x and its sine go into the one buffer `ph`, denom last, so a
+        # call allocates k, ph and the two numerators and no other array
+        ph = np.empty_like(k)
+
+        def sine(x):  # sin(k x), in `ph`
+            return _field(np.sin(np.multiply(k, x, out=ph), out=ph))
+
+        num_rt = z0 * sine(a)
         if self.x_receive < self.x_transmit:
-            num_r = num_rt * np.sin(k * (self.length - a))
+            num_r = num_rt * sine(length - a)
+            num_rt *= sine(length - b)
         else:
-            num_r = self.char_impedance * np.sin(k * b) * sb
-        num_rt *= sb
-        del sb
-        return ReactanceSample(num_r, num_rt, np.sin(k * self.length))
+            num_r = z0 * sine(b)
+            sb = sine(length - b)
+            num_r *= sb
+            num_rt *= sb
+        return ReactanceSample(num_r, num_rt, sine(length))
 
 
 ChannelModel = Union[LcParallel, TLineOpenEnds, TLineShortedTapped]

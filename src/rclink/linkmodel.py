@@ -228,17 +228,18 @@ def capacity_upper_bound(rx: ReceiverParams, band: Band, p_t: float) -> float:
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     """Trapezoid weights of the measure d omega / 2 pi at `nodes` (rad/s), in Hz."""
     w = np.empty_like(nodes)
-    w[1:-1] = (nodes[2:] - nodes[:-2]) / (4 * math.pi)
+    np.subtract(nodes[2:], nodes[:-2], out=w[1:-1])
+    w[1:-1] /= 4 * math.pi
     w[0] = (nodes[1] - nodes[0]) / (4 * math.pi)
     w[-1] = (nodes[-1] - nodes[-2]) / (4 * math.pi)
     return w
 
 
-def _bits(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
-    """sum(w * log2(1 + x)) over the last axis: bits/s per row of x for weights w in Hz, the
-    one capacity sum over grid nodes.  log1p(x) is written into `out` when one is given."""
-    out = np.log1p(x, out=out)
-    out *= w
+def _bits(w: np.ndarray, nats: np.ndarray, out: np.ndarray | None = None):
+    """sum(w * nats) / ln 2 over the last axis, nats = log1p(snr) per node: bits/s per row for
+    weights w in Hz, the one capacity sum over grid nodes.  w * nats is written into `out`
+    when one is given, which may be `nats` itself."""
+    out = np.multiply(nats, w, out=out)
     return np.sum(out, axis=-1) / math.log(2)
 
 
@@ -259,7 +260,8 @@ def capacity_lower_bound(
     roundoff: its s_it * beta = p_t/B on the coupled nodes spends p_t * (coupled weight)/B
     <= p_t, so water-filling on the same nodes does at least as well (where the flat
     density is optimal, the two agree to a few ulps either way).  Raises ValueError when
-    every other node (the last one included) moves the result by over 1e-3.
+    every other node (the last one included) moves the result by over 1e-3; that check
+    reads the same log1p array as the full sum, taken once, in place over the SNR.
     """
     if not 0 <= p_t < math.inf:
         raise ValueError("p_t must be nonnegative and finite")
@@ -268,10 +270,12 @@ def capacity_lower_bound(
     snr, b = _profile(model, rx, grid)
     snr *= p_t / band.bandwidth
     np.copyto(snr, 0.0, where=~(b > 0))
+    nats = np.log1p(snr, out=snr)
+    result = float(_bits(grid.weights, nats, out=b))
     del b
-    result = float(_bits(grid.weights, snr))
-    half = np.r_[0 : len(snr) - 1 : 2, len(snr) - 1]
-    coarse = float(_bits(_trapezoid_weights(grid.nodes[half]), snr[half]))
+    half = np.r_[0 : len(nats) - 1 : 2, len(nats) - 1]
+    coarse_nats = nats[half]
+    coarse = float(_bits(_trapezoid_weights(grid.nodes[half]), coarse_nats, out=coarse_nats))
     if result != 0 and abs(result - coarse) > 1e-3 * abs(result):
         raise ValueError(
             "frequency grid too coarse for the lower-bound integral "

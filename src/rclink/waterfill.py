@@ -99,11 +99,14 @@ def build_grid(
     pole within 10h of the band, h the base spacing, keeping the nodes in the band:
     a pole just outside the band gets the same window, clipped to the band.
     The in-band poles join the base nodes and offsets before the one sort, so each is a node
-    at every level.  Nodes under h*1e-9 apart merge into the first of their run, which a pole
-    in the run then takes, and the band edges are written last: a pole within h*1e-9 of an
-    edge sits on that edge node.  Levels past 29, under the merge spacing, are refused, as
-    are fewer than 16 base points and non-integer counts (bools too).  The work is
-    near-linear in the in-band poles, and the channel is evaluated once, at the final nodes.
+    at every level; that sort is stable, so it merges the sorted runs the nodes come in (the
+    base, the poles, each pole's window).  Nodes under h*1e-9 apart merge into the first of
+    their run, which a pole in the run then takes, and the band edges are written last: a
+    pole within h*1e-9 of an edge sits on that edge node.  The near-duplicate mask and the
+    weights are written in place, with no concatenated copy.  Levels past 29, under the merge
+    spacing, are refused, as are fewer than 16 base points and non-integer counts (bools
+    too).  The work is near-linear in the in-band poles, and the channel is evaluated once,
+    at the final nodes.
     """
     for name, n in (("base_points", base_points), ("refine_levels", refine_levels)):
         if name == "base_points" and n is None:
@@ -129,11 +132,15 @@ def build_grid(
     extra = (centres[:, None] + offsets).ravel()
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.concatenate([np.linspace(lo, hi, base_points), poles, extra])
-    nodes.sort()
+    nodes.sort(kind="stable")
     del extra, offsets
     # drop near-duplicates, exact ones included, that would produce tiny weights;
     # each pole moves the node kept for its run onto itself exactly
-    nodes = nodes[np.r_[True, np.diff(nodes) > h * 1e-9]]
+    keep = np.empty(len(nodes), dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(nodes), h * 1e-9, out=keep[1:])
+    nodes = nodes[keep]
+    del keep
     pole_idx = np.searchsorted(nodes, poles, "right") - 1
     nodes[pole_idx] = poles
     nodes[0], nodes[-1] = lo, hi
@@ -172,7 +179,8 @@ def _levels(profile, grid: FrequencyGrid, mus: np.ndarray, x: np.ndarray, tmp: n
     # exact near the level, where log2(ratio/mu) and 1/mu - 1/ratio lose digits
     np.subtract(ratio, mus, out=x, where=support)
     x /= mus
-    capacity = _bits(grid.weights, x, out=tmp)  # log2(ratio / mu) = log2(1 + x)
+    # log2(ratio / mu) = log2(1 + x)
+    capacity = _bits(grid.weights, np.log1p(x, out=tmp), out=tmp)
     x /= np.add(x, 1, out=tmp)
     x /= mus  # 1/mu - 1/ratio = s_it * beta, as alpha = ratio * beta
     power = np.sum(np.multiply(grid.weights, x, out=tmp), axis=-1)
@@ -215,7 +223,8 @@ def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> tuple[float, float
     pass whose level rounds above every candidate splits too, so the top
     node, whose join budget is 0, is always powered.  The last pass's level is
     mu, as its candidates and the known nodes are the support; when splits
-    use up the candidates, the known nodes are.
+    use up the candidates, the known nodes are.  It never writes `r` or `w`, so a
+    caller may pass arrays it keeps.
     """
     known_w = known_v = 0.0
     floor = math.inf  # the smallest ratio known to be powered

@@ -95,7 +95,7 @@ class TestEvalReactances:
     def test_shorted_line_takes_four_sines(self, monkeypatch, taps, omega):
         calls = []
         sin = np.sin
-        monkeypatch.setattr(np, "sin", lambda x: calls.append(1) or sin(x))
+        monkeypatch.setattr(np, "sin", lambda x, **kw: calls.append(1) or sin(x, **kw))
         eval_reactances(TLineShortedTapped(50.0, 3.0e8, 75.0, *taps), omega)
         monkeypatch.undo()
         assert len(calls) == 4

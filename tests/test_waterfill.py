@@ -237,6 +237,24 @@ class TestBuildGrid:
             ]
             assert abs(caps[1] - caps[0]) / caps[0] < 1e-3
 
+    def test_keeps_no_grid_sized_temporary(self):
+        # 298,000 nodes: one float array of the grid is 2.4 MB.  The shorted line's
+        # reactances hold k, one phase buffer and the two numerators, which the
+        # buffer's last sine joins as denom; the grid adds its nodes and weights
+        config = load_config(Path(__file__).parent / "tline_2000_poles.json")
+        grid = build_grid(config.band, config.channel, refine_levels=config.refine_levels)
+        nodes = grid.nodes.copy()
+        for limit, call in ((4.5, lambda: eval_reactances(config.channel, nodes)),
+                            (6.5, lambda: build_grid(config.band, config.channel,
+                                                     refine_levels=config.refine_levels))):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * nodes.nbytes
+
 
 class TestGridCarriesItsChannel:
     """A grid holds its channel's receive-side reactances; solvers read only them."""
@@ -724,7 +742,9 @@ class TestWaterFloor:
                 return
         else:
             p_t = joins[distinct[0]] * (1 + u) + 1e-6 * float(np.sum(weights / r))
-        got, mu = _water_floor(r.copy(), weights, p_t)
+        r.setflags(write=False)  # it never writes its inputs: a write raises
+        weights.setflags(write=False)
+        got, mu = _water_floor(r, weights, p_t)
         assert_plain_sum_level(mu, r, weights, p_t, r >= got)
         expected = water_level_by_loop(r, weights, p_t)
         if budget == "above-full-band":
@@ -850,4 +870,4 @@ def test_uncoupled_nodes_are_left_out(tline_grid, tline_band, receiver):
     assert result.termination.mu == np.nextafter(r[coupled].min(), 0)
     snr = np.where(coupled, POWER_W * r / tline_band.bandwidth, 0.0)
     assert capacity_lower_bound(TLINE_MODEL, receiver, tline_band, POWER_W, grid) == \
-        _bits(grid.weights, snr)
+        _bits(grid.weights, np.log1p(snr))
