@@ -2,7 +2,10 @@
 
 The capacity problem separates per frequency; the optimal transmit-current
 spectral density is 1/(mu*beta) - 1/alpha wherever positive, with the
-Lagrange multiplier mu set by the power budget.  The budget is inverted to
+Lagrange multiplier mu set by the power budget.  So a level mu powers exactly
+the coupled nodes whose alpha/beta exceeds it, `coupled & (ratio > mu)`, the
+one support rule: a solution's mask is that set, and a sweep row has full
+support when mu is below the smallest coupled ratio.  The budget is inverted to
 mu exactly, with no tolerance and no sort: Newton steps on the water level
 drop only unpowered nodes, the level being a mediant of the true one and of
 lower ratios, and median splits keep the work linear.  C, P and s_it are
@@ -73,7 +76,7 @@ class SweepPoint(NamedTuple):
     mu: float
     power: float  # W
     capacity: float  # bits/s
-    full_support: bool  # True when every node is powered
+    full_support: bool  # True when every coupled node is powered
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,8 @@ def build_grid(
     a pole just outside the band gets the same window, clipped to the band.
     The in-band poles join the base nodes and offsets before the one sort, so each is a node
     at every level; that sort is stable, so it merges the sorted runs the nodes come in (the
-    base, the poles, each pole's window).  Nodes under h*1e-9 apart merge into the first of
-    their run, which a pole in the run then takes, and the band edges are written last: a
+    base, the poles, each pole's window).  Nodes within h*1e-9 of the first node of their run
+    merge into it, which a pole in the run then takes, and the band edges are written last: a
     pole within h*1e-9 of an edge sits on that edge node.  The near-duplicate mask and the
     weights are written in place, with no concatenated copy.  Levels past 29, under the merge
     spacing, are refused, as are fewer than 16 base points and non-integer counts (bools
@@ -136,11 +139,23 @@ def build_grid(
     del extra, offsets
     # drop near-duplicates, exact ones included, that would produce tiny weights;
     # each pole moves the node kept for its run onto itself exactly
+    tol = h * 1e-9
     keep = np.empty(len(nodes), dtype=bool)
     keep[0] = True
-    np.greater(np.diff(nodes), h * 1e-9, out=keep[1:])
+    np.greater(np.diff(nodes), tol, out=keep[1:])
+    # gaps under tol can chain a run past tol from its kept first node: walk
+    # those runs, on the dropped indices only, and keep each node past tol
+    drop = np.flatnonzero(~keep)
+    starts = drop[np.diff(drop, prepend=-1) != 1] - 1
+    ends = drop[np.diff(drop, append=-1) != 1]
+    chained = nodes[ends] - nodes[starts] > tol
+    for kept, end in zip(starts[chained].tolist(), ends[chained].tolist()):
+        for j in range(kept + 1, end + 1):
+            if nodes[j] - nodes[kept] > tol:
+                keep[j] = True
+                kept = j
     nodes = nodes[keep]
-    del keep
+    del keep, drop
     pole_idx = np.searchsorted(nodes, poles, "right") - 1
     nodes[pole_idx] = poles
     nodes[0], nodes[-1] = lo, hi
@@ -204,37 +219,37 @@ def solve_for_mu(
     return _solve(_coupled_profile(model, rx, grid), grid, mu)
 
 
-def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> tuple[float, float]:
-    """The smallest ratio r in the water-filling support at budget p_t, of nodes
-    with ratios r and weights w (the grid's, in Hz), and the water
-    level mu = W / (p_t + V) over that support.
+def _water_level(r: np.ndarray, w: np.ndarray, p_t: float) -> float:
+    """The water level mu at budget p_t of nodes with ratios r and weights w
+    (the grid's, in Hz): mu = W / (p_t + V), W and V the sums of w and w/r
+    over the nodes above mu.
 
     Newton in 1/mu: the level W / (p_t + V) of the candidates and the nodes
-    known to be powered (W and V the sums of w and w/r) is a mediant of the
-    true level and of the ratios of unpowered candidates, which lie at or
-    below it, so the level never exceeds the true one.  Each pass drops the
-    candidates at or below the level, none of them powered; a pass that
-    drops none leaves exactly the support.  After two passes in a row that
-    each keep over half the candidates, their median r_m is split off: if
-    its join budget W_above / r_m - V_above (sums over it, the nodes above it
-    and the known ones) is below p_t, it and every node above it are powered
-    and become known, otherwise it and every node below it are dropped.  So
-    the candidates halve at least every third step, O(n) work in all.  A
-    pass whose level rounds above every candidate splits too, so the top
-    node, whose join budget is 0, is always powered.  The last pass's level is
-    mu, as its candidates and the known nodes are the support; when splits
-    use up the candidates, the known nodes are.  It never writes `r` or `w`, so a
-    caller may pass arrays it keeps.
+    known to be powered is a mediant of the true level and of the ratios of
+    unpowered candidates, which lie at or below it, so but for roundoff the
+    level never exceeds the true one and each pass drops only unpowered
+    candidates, those at or below its level.  A pass that drops none returns
+    its level as mu: every candidate lies above it and every known node above
+    them.  After two passes in a row that each keep over half the candidates,
+    their median r_m is split off: if its join budget W_above / r_m - V_above
+    (sums over it, the nodes above it and the known ones) is below p_t, it and
+    every node above it are powered and become known, otherwise it and every
+    node below it are dropped.  So the candidates halve at least every third
+    step, O(n) work in all.  A pass whose level rounds above every candidate
+    splits too, so the top node, whose join budget is 0, is always powered.
+    When splits use up the candidates, mu is the known nodes' level, clamped
+    below the last median powered so that roundoff cannot unpower it.  It
+    never writes `r` or `w`, so a caller may pass arrays it keeps.
     """
     known_w = known_v = 0.0
-    floor = math.inf  # the smallest ratio known to be powered
+    floor = math.inf  # the last median powered
     slow = 0  # passes in a row that kept over half the candidates
     while len(r):
         level = (known_w + np.sum(w)) / (p_t + known_v + np.sum(w / r))
         keep = r > level
         kept = np.count_nonzero(keep)
         if kept == len(r):
-            return min(floor, float(np.min(r))), float(level)
+            return float(level)
         if kept:
             slow = slow + 1 if 2 * kept > len(r) else 0
             r = r[keep]
@@ -253,7 +268,7 @@ def _water_floor(r: np.ndarray, w: np.ndarray, p_t: float) -> tuple[float, float
             r, w = r[:m], w[:m]
         else:
             r, w = r[m + 1:], w[m + 1:]
-    return floor, float(known_w / (p_t + known_v))
+    return min(known_w / (p_t + known_v), float(np.nextafter(floor, 0)))
 
 
 def solve_for_power(
@@ -264,20 +279,16 @@ def solve_for_power(
 ) -> WaterfillSolution:
     """Invert the power budget to mu exactly, with no tolerance and no sort.
 
-    `_water_floor` finds the support's smallest alpha/beta, r_k, by Newton
-    steps on the water level guarded by median splits, and returns with it
-    the level it ended on: mu = W / (p_t + V), W and V the sums of w and w/r
-    over the support (w the grid's weights, in Hz).
+    `_water_level` finds mu = W / (p_t + V), W and V the sums of w and w/r
+    over the support (w the grid's weights, in Hz), by Newton steps on the
+    level guarded by median splits.
     Budgets below about eps*w/r of the top node are not resolved: the
     returned `power`, that node's smallest representable power, exceeds p_t.
     """
     if not 0 < p_t < math.inf:
         raise ValueError("p_t must be positive and finite")
     ratio, coupled, _ = profile = _coupled_profile(model, rx, grid)
-    r_k, mu = _water_floor(ratio[coupled], grid.weights[coupled], p_t)
-    # mu < r_k holds exactly; keep roundoff from emptying the support
-    mu = min(mu, float(np.nextafter(r_k, 0)))
-    return _solve(profile, grid, mu)
+    return _solve(profile, grid, _water_level(ratio[coupled], grid.weights[coupled], p_t))
 
 
 def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> SweepResult:
@@ -286,11 +297,10 @@ def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> Sweep
     to its minimum, then the full-support endpoint, one `SweepPoint` each.
 
     The endpoint is the largest multiplier that powers the whole band, the
-    float below the minimum of alpha/beta over the coupled nodes
-    (`solve_for_power`'s clamp).  Multipliers at or below it are dropped: on a
-    flat ratio profile (zero temperature) the range starts below it.  A row
-    keeps no grid-sized array; for a level's density, call `solve_for_mu` at
-    its multiplier.
+    float below the minimum of alpha/beta over the coupled nodes.  Multipliers
+    at or below it are dropped: on a flat ratio profile (zero temperature) the
+    range starts below it.  A row keeps no grid-sized array; for a level's
+    density, call `solve_for_mu` at its multiplier.
 
     The levels are stepped in blocks of max(1, _BLOCK // n) rows on n nodes, as
     `_levels` steps, over two (rows, n) work arrays that this call allocates and
@@ -316,8 +326,7 @@ def sweep(model: ChannelModel, rx: ReceiverParams, grid: FrequencyGrid) -> Sweep
     for i in range(0, len(levels), rows):
         block = levels[i:i + rows]
         k = len(block)
-        support, capacity, power = _levels(profile, grid, np.array(block)[:, None], x[:k],
-                                           tmp[:k])
+        _, capacity, power = _levels(profile, grid, np.array(block)[:, None], x[:k], tmp[:k])
         points += map(SweepPoint, block, power.tolist(), capacity.tolist(),
-                      support.all(axis=-1).tolist())
+                      [mu < r_min for mu in block])
     return SweepResult(points[:-1], points[-1])

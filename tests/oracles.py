@@ -93,9 +93,8 @@ def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     """waterfill.build_grid's nodes from the base nodes, the in-band poles and every
     refinement offset k*h/2**l, |k| <= 20, around every pole within 10h of the band,
     duplicates included, merged by one np.unique; then the same near-duplicate drop,
-    each in-band pole written onto its nearest interior node, and band edges written
-    last.  With the poles inserted, the nearest node is the one build_grid keeps for
-    the pole's run."""
+    node by node, each in-band pole written onto the node kept for its run, and band
+    edges written last."""
     lo, hi = band.lo, band.hi
     h = (hi - lo) / (base_points - 1)
     centres = poles_in_interval(model, max(lo - 10 * h, 0.0), hi + 10 * h)
@@ -105,13 +104,17 @@ def grid_nodes_by_full_broadcast(band, model, base_points, refine_levels):
     extra = extra[(extra >= lo) & (extra <= hi)]
     nodes = np.unique(np.concatenate([np.linspace(lo, hi, base_points), poles, extra]))
     tol = h * 1e-9
-    nodes = nodes[np.r_[True, np.diff(nodes) > tol]]
-    # each pole onto its nearest interior node, the lower one on a tie (argmin
-    # takes the first); a pole within tol of an edge sits on the edge node
-    snap = [(1 + np.argmin(abs(nodes[1:-1] - p)), p) for p in poles
-            if p - lo > tol and hi - p > tol]
-    for i, p in snap:
-        nodes[i] = p
+    # a run is its first node and every later one within tol of it
+    kept, run_of = [], {}
+    for x in nodes.tolist():
+        if not kept or x - kept[-1] > tol:
+            kept.append(x)
+        run_of[x] = len(kept) - 1
+    nodes = np.array(kept)
+    # a pole within tol of an edge sits on the edge node
+    for p in poles.tolist():
+        if p - lo > tol and hi - p > tol:
+            nodes[run_of[p]] = p
     nodes[0], nodes[-1] = lo, hi
     return nodes
 

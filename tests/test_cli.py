@@ -394,6 +394,9 @@ def test_doubly_nulled_mode_gets_no_power(tmp_path):
     carrier = np.argmin(np.abs(data[:, 0] - load_config(config).band.carrier))
     assert data[carrier, 1] == 0.0 and data[carrier, 2] == 0.0
     assert np.count_nonzero(data[:, 2]) == len(data) - 1
+    # the uncoupled node is not in the support, so the endpoint powers all of it
+    _, data = read_csv(tmp_path / "sweep.csv")
+    assert data[-1, 4] == 1.0
 
 
 @pytest.mark.parametrize("config, command", [

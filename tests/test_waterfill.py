@@ -31,7 +31,7 @@ from rclink import (
 )
 from rclink.cli import main
 from rclink.linkmodel import _bits
-from rclink.waterfill import _water_floor
+from rclink.waterfill import _water_level
 from rclink.config import DEFAULT_TLINE_CHANNEL, default_config, load_config, serialize_config
 
 from conftest import LC_MODEL, POWER_W, TLINE_MODEL, make_receiver
@@ -633,6 +633,10 @@ class TestRandomShortedLines:
         lo_offset=EDGE_OFFSET,
         hi_offset=EDGE_OFFSET,
     )
+    # the first pole 2*h*1e-9 above band.lo, with window nodes h*1e-9 (less an
+    # ulp) on either side: gap by gap they chained the pole into the edge's run
+    @example(spans=2, taps=(0.5, 0.5), points_per_pole=8, levels=1, lo_offset=("near", -2.0),
+             hi_offset=("ulps", 0))
     def test_band_edges_at_poles(self, tline_band, spans, taps, points_per_pole, levels,
                                  lo_offset, hi_offset):
         # a band whose edges sit at two poles `spans` steps apart, give or take
@@ -712,7 +716,8 @@ def test_lc_breakpoints_exact(lc_grid, rl):
 
 
 class TestWaterFloor:
-    """`_water_floor`, the support's smallest ratio, against the running-level loop."""
+    """`_water_level`'s support floor, the smallest ratio above mu, against the
+    running-level loop."""
 
     @staticmethod
     def join_budgets(r, weights):
@@ -729,6 +734,13 @@ class TestWaterFloor:
         budget=st.sampled_from(["scaled", "breakpoint", "above-full-band"]),
         u=st.floats(0.0, 1.0),
     )
+    # the first pass's level rounded up to 0.001 + 2**-62 and dropped all but
+    # 1.5, whose level alone fell below the five dropped ratios: the support
+    # is all six nodes, and the floor read from mu is 0.001
+    @example(levels=[0.0010000000000000002, 0.001, 1.0, 1.5],
+             nodes=[(0, 228.79258497708463), (3, 821.1868205800139), (0, 819.0), (1, 1.0),
+                    (0, 352.1191657432187), (0, 56.527836483931964)],
+             budget="breakpoint", u=0.0)
     def test_matches_the_loop(self, levels, nodes, budget, u):
         r = np.array([levels[i % len(levels)] for i, _ in nodes])  # ratios repeat
         weights = np.array([wt for _, wt in nodes])
@@ -744,8 +756,9 @@ class TestWaterFloor:
             p_t = joins[distinct[0]] * (1 + u) + 1e-6 * float(np.sum(weights / r))
         r.setflags(write=False)  # it never writes its inputs: a write raises
         weights.setflags(write=False)
-        got, mu = _water_floor(r, weights, p_t)
-        assert_plain_sum_level(mu, r, weights, p_t, r >= got)
+        mu = _water_level(r, weights, p_t)
+        got = r[r > mu].min()
+        assert_plain_sum_level(mu, r, weights, p_t, r > mu)
         expected = water_level_by_loop(r, weights, p_t)
         if budget == "above-full-band":
             assert got == expected == distinct[0]
@@ -769,8 +782,8 @@ class TestWaterFloor:
         # 0.11 / (0.11 / 0.1) rounds to 0.1 + 2**-56, above both candidates
         r, w = np.array([0.1, 0.05]), np.array([0.11, 0.11])
         assert w[0] / (w[0] / r[0]) > r[0]
-        assert _water_floor(r, w, 1e-300)[0] == 0.1
-        assert _water_floor(r[:1].copy(), w[:1].copy(), 1e-300)[0] == 0.1
+        assert r[r > _water_level(r, w, 1e-300)].min() == 0.1
+        assert r[0] > _water_level(r[:1].copy(), w[:1].copy(), 1e-300)
 
     def test_median_guard_bounds_the_passes(self, monkeypatch):
         # each Newton pass here drops only a few of the smallest ratios: Newton
@@ -781,10 +794,10 @@ class TestWaterFloor:
         passes = []
         count_nonzero = np.count_nonzero
         monkeypatch.setattr(np, "count_nonzero", lambda a: passes.append(1) or count_nonzero(a))
-        got, mu = _water_floor(r.copy(), weights, 1e-3)
+        mu = _water_level(r.copy(), weights, 1e-3)
         monkeypatch.undo()
-        assert got == water_level_by_loop(r, weights, 1e-3)
-        assert_plain_sum_level(mu, r, weights, 1e-3, r >= got)
+        assert r[r > mu].min() == water_level_by_loop(r, weights, 1e-3)
+        assert_plain_sum_level(mu, r, weights, 1e-3, r > mu)
         assert len(passes) <= 2 * math.ceil(math.log2(n)) + 4
 
 
